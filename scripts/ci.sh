@@ -15,7 +15,10 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
 echo "=== release build ==="
-cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+# Warning-free under -Wall -Wextra: -Werror here only, so the
+# sanitizer builds below never fail on a compiler's extra diagnostics.
+cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
@@ -378,6 +381,21 @@ print(f"recovery smoke: replay "
       f"restart {m[('restart', 'restart_ms')]:.1f} ms ok")
 EOF
 echo "durability smoke: $RECOVERED docs recovered, rows identical ok"
+
+echo "=== perfbench smoke ==="
+# The repository benchmark (perfbench/, BENCHMARK.json) at a tiny
+# amount of work: each read workload must exit 0 and report
+# "correct": true, i.e. every answer matched the reference engine.
+for workload in serve_mix scan_parallel; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 1 --trace 0 > "$OBS_TMP/perfbench_$workload.out"
+    tail -n 1 "$OBS_TMP/perfbench_$workload.out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+assert r["correct"] is True and r["failed"] == 0, r
+print("perfbench", sys.argv[1], "smoke:", r["attempted"], "answers correct")
+' "$workload"
+done
 
 echo "=== thread-sanitizer build ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -26,9 +26,10 @@ namespace
 
 /**
  * The Argo execution backend.  Its public surface (project / matches /
- * retrieve / join / insertDoc) is the ops::runQuery Backend concept
- * shared with the partitioned engine, so the kind switch, aggregate
- * orchestration, and insert loop live in engine/operators.hh once.
+ * retrieve / retrieveGroups / join / insertDoc) is the ops::runQuery
+ * Backend concept shared with the partitioned engine, so the kind
+ * switch, aggregate orchestration, and insert loop live in
+ * engine/operators.hh once.
  */
 template <class Tracer>
 class Exec
@@ -120,57 +121,6 @@ class Exec
             ++r;
         }
         return {false, r};
-    }
-
-    /**
-     * Reconstruct object @p oid from @p t given the row @p pos where
-     * its condition was decided: per the paper, "it may be necessary
-     * to scan backward all the way until the beginning of the current
-     * object id" and then forward to its end.  The backward leg is
-     * what breaks the page-stream prefetchability of Argo's otherwise
-     * contiguous tables (paper VI-C2).
-     */
-    void
-    retrieveBackwardForward(const ArgoTable &t, int64_t oid, size_t pos,
-                            std::vector<Slot> *row, ResultSet &rs)
-    {
-        size_t start = pos;
-        while (start > 0 && readHead(t, start - 1).first == oid)
-            --start;
-        for (size_t r = start; r < t.rows(); ++r) {
-            auto [o, key] = readHead(t, r);
-            if (o != oid)
-                break;
-            Slot v = readValue(t, r);
-            if (isNull(v))
-                continue;
-            if (row && key < row->size())
-                (*row)[key] = v;
-            rs.checksum ^= engine::resultCellDigest(key, v);
-        }
-    }
-
-    /**
-     * Read every record of object @p oid in table @p t into @p row
-     * (indexed by AttrId) when @p row is non-null, always folding
-     * values into the checksum.
-     */
-    void
-    retrieveObject(const ArgoTable &t, int64_t oid,
-                   std::vector<Slot> *row, ResultSet &rs)
-    {
-        size_t r = t.lowerBound(oid);
-        for (; r < t.rows(); ++r) {
-            auto [o, key] = readHead(t, r);
-            if (o != oid)
-                break;
-            Slot v = readValue(t, r);
-            if (isNull(v))
-                continue;
-            if (row && key < row->size())
-                (*row)[key] = v;
-            rs.checksum ^= engine::resultCellDigest(key, v);
-        }
     }
 
   public:
@@ -281,61 +231,16 @@ class Exec
     ResultSet
     retrieve(const Query &q, const std::vector<Match> &matches)
     {
-        const auto &catalog = store.data().catalog;
-        ResultSet rs;
-        // Reserves cost no traced accesses, so the simulated counters
-        // are unchanged.
-        rs.oids.reserve(matches.size());
-        rs.rows.reserve(matches.size());
+        return retrieveInto(q, matches, engine::ops::RowSink{});
+    }
 
-        if (q.selectAll) {
-            for (const Match &m : matches) {
-                std::vector<Slot> row(catalog.attrCount(), kNullSlot);
-                for (const ArgoTable *t : allTables()) {
-                    if (t == m.table) {
-                        // Paper retrieval: backward to the object's
-                        // first record, then forward through it.
-                        retrieveBackwardForward(*t, m.oid, m.pos, &row,
-                                                rs);
-                    } else {
-                        retrieveObject(*t, m.oid, &row, rs);
-                    }
-                }
-                rs.oids.push_back(m.oid);
-                rs.rows.push_back(std::move(row));
-            }
-            return rs;
-        }
-
-        // Explicit projection list: full-row retrieval is still how
-        // Argo reads (it has no per-attribute storage), but only the
-        // projected values are emitted.
-        std::unordered_map<AttrId, size_t> out_col;
-        for (size_t i = 0; i < q.projected.size(); ++i)
-            out_col.emplace(q.projected[i], i);
-        std::vector<Slot> full(catalog.attrCount(), kNullSlot);
-        for (const Match &m : matches) {
-            std::fill(full.begin(), full.end(), kNullSlot);
-            ResultSet scratch; // checksum only over projected cells
-            for (const ArgoTable *t : allTables()) {
-                if (t == m.table)
-                    retrieveBackwardForward(*t, m.oid, m.pos, &full,
-                                            scratch);
-                else
-                    retrieveObject(*t, m.oid, &full, scratch);
-            }
-            std::vector<Slot> row(q.projected.size(), kNullSlot);
-            for (const auto &[attr, out] : out_col) {
-                if (attr < full.size() && !isNull(full[attr])) {
-                    row[out] = full[attr];
-                    rs.checksum ^=
-                        engine::resultCellDigest(attr, full[attr]);
-                }
-            }
-            rs.oids.push_back(m.oid);
-            rs.rows.push_back(std::move(row));
-        }
-        return rs;
+    /** retrieve() folded into COUNT(*) per output column @p group_col. */
+    engine::ops::GroupCounts
+    retrieveGroups(const Query &q, const std::vector<Match> &matches,
+                   size_t group_col)
+    {
+        return retrieveInto(q, matches,
+                            engine::ops::GroupSink(group_col));
     }
 
     ResultSet
@@ -391,10 +296,13 @@ class Exec
         }
 
         // SELECT *: materialize both sides of every pair.
+        auto digest = [&](AttrId key, Slot v) {
+            rs.checksum ^= engine::resultCellDigest(key, v);
+        };
         for (auto [loid, roid] : pairs) {
             for (int64_t oid : {loid, roid})
                 for (const ArgoTable *t : allTables())
-                    retrieveObject(*t, oid, nullptr, rs);
+                    retrieveFrom(*t, oid, t->lowerBound(oid), digest);
             rs.rows.push_back({loid, roid});
         }
         return rs;
@@ -404,6 +312,106 @@ class Exec
     insertDoc(const storage::Document &doc)
     {
         store.insert(doc);
+    }
+
+  private:
+    /**
+     * Hand every non-null (key, value) record of object @p oid in
+     * @p t, from row @p start to the object's end, to @p f.
+     */
+    template <class F>
+    void
+    retrieveFrom(const ArgoTable &t, int64_t oid, size_t start, F &&f)
+    {
+        for (size_t r = start; r < t.rows(); ++r) {
+            auto [o, key] = readHead(t, r);
+            if (o != oid)
+                break;
+            Slot v = readValue(t, r);
+            if (!isNull(v))
+                f(key, v);
+        }
+    }
+
+    /**
+     * Every record of a matched object.  The table whose scan decided
+     * the match is read from the decision row: per the paper, "it may
+     * be necessary to scan backward all the way until the beginning of
+     * the current object id", then forward to its end.  The backward
+     * leg is what breaks the page-stream prefetchability of Argo's
+     * otherwise contiguous tables (paper VI-C2).  Other tables are
+     * entered through the primary-key index.
+     */
+    template <class F>
+    void
+    retrieveMatch(const Match &m, F &&f)
+    {
+        for (const ArgoTable *t : allTables()) {
+            size_t start = m.pos;
+            if (t == m.table) {
+                while (start > 0 && readHead(*t, start - 1).first == m.oid)
+                    --start;
+            } else {
+                start = t->lowerBound(m.oid);
+            }
+            retrieveFrom(*t, m.oid, start, f);
+        }
+    }
+
+    /**
+     * Retrieve the already-matched objects into @p sink (see
+     * engine/operators.hh).  Argo has no per-attribute storage, so an
+     * explicit projection list still reads whole objects into one
+     * reused full-width scratch row, then hands the sink (and the
+     * checksum) only the projected cells.
+     */
+    template <class Sink>
+    decltype(Sink::out)
+    retrieveInto(const Query &q, const std::vector<Match> &matches,
+                 Sink sink)
+    {
+        const size_t width = store.data().catalog.attrCount();
+        // Reserves cost no traced accesses, so the simulated counters
+        // are unchanged.
+        sink.reserve(matches.size());
+        uint64_t checksum = 0;
+
+        if (q.selectAll) {
+            for (const Match &m : matches) {
+                sink.begin(width);
+                retrieveMatch(m, [&](AttrId key, Slot v) {
+                    if (key < width)
+                        sink.cell(key, v);
+                    checksum ^= engine::resultCellDigest(key, v);
+                });
+                sink.end(m.oid);
+            }
+            sink.out.checksum = checksum;
+            return std::move(sink.out);
+        }
+
+        std::unordered_map<AttrId, size_t> out_col;
+        for (size_t i = 0; i < q.projected.size(); ++i)
+            out_col.emplace(q.projected[i], i);
+        std::vector<Slot> full(width, kNullSlot);
+        for (const Match &m : matches) {
+            std::fill(full.begin(), full.end(), kNullSlot);
+            retrieveMatch(m, [&](AttrId key, Slot v) {
+                if (key < width)
+                    full[key] = v;
+            });
+            sink.begin(q.projected.size());
+            for (const auto &[attr, out] : out_col) {
+                if (attr < width && !isNull(full[attr])) {
+                    sink.cell(out, full[attr]);
+                    checksum ^=
+                        engine::resultCellDigest(attr, full[attr]);
+                }
+            }
+            sink.end(m.oid);
+        }
+        sink.out.checksum = checksum;
+        return std::move(sink.out);
     }
 };
 
@@ -419,7 +427,7 @@ ArgoExecutor::run(const Query &q)
 ResultSet
 ArgoExecutor::run(const Query &q, perf::MemoryHierarchy &mh)
 {
-    Exec<engine::SimTracer> exec(*store, engine::SimTracer{&mh});
+    Exec<engine::SimTracer> exec(*store, engine::SimTracer{&mh, nullptr});
     return engine::ops::runQuery(exec, q);
 }
 

@@ -68,8 +68,9 @@ class PhaseTimer
  * this Exec's Database snapshot, so a plan bound on the same epoch is
  * always safe to walk.
  *
- * The public surface (project / matches / retrieve / join / insertDoc)
- * is the ops::runQuery Backend concept shared with the Argo executor.
+ * The public surface (project / matches / retrieve / retrieveGroups /
+ * join / insertDoc) is the ops::runQuery Backend concept shared with
+ * the Argo executor.
  */
 template <class Tracer>
 class Exec
@@ -147,6 +148,31 @@ class Exec
     ResultSet
     retrieve(const Query &, const std::vector<int64_t> &matches)
     {
+        return retrieveInto(matches, ops::RowSink{});
+    }
+
+    /**
+     * retrieve() with every match folded into a COUNT(*) per value of
+     * output column @p group_col instead of materialized: the same
+     * probes, record reads and cell digests, no rows.
+     */
+    ops::GroupCounts
+    retrieveGroups(const Query &, const std::vector<int64_t> &matches,
+                   size_t group_col)
+    {
+        return retrieveInto(matches, ops::GroupSink(group_col));
+    }
+
+  private:
+    /**
+     * The retrieve walk shared by both sinks.  Each morsel runs the
+     * kernel on its own copy of the empty @p sink; partial outputs
+     * merge in morsel order before the delta tail appends.
+     */
+    template <class Sink>
+    decltype(Sink::out)
+    retrieveInto(const std::vector<int64_t> &matches, Sink sink)
+    {
         PhaseTimer phase(obs_retrieve_ns);
         DVP_TRACE_SPAN(retrieve_span, "retrieve", nullptr);
         size_t nbase = matches.size();
@@ -155,24 +181,24 @@ class Exec
                 std::lower_bound(matches.begin(), matches.end(),
                                  delta->firstOid()) -
                 matches.begin());
-        ResultSet rs;
         if (parallel() && nbase > morsel_rows) {
             size_t nm = (nbase + morsel_rows - 1) / morsel_rows;
-            rs = concat(scatter<ResultSet>(
+            sink.out = merge(scatter<decltype(Sink::out)>(
                 nm, [&](Exec &lane, size_t i) {
                     size_t m0 = i * lane.morsel_rows;
                     size_t n = std::min(lane.morsel_rows, nbase - m0);
-                    return lane.retrieveRange(matches.data() + m0, n);
+                    Sink part = sink;
+                    lane.retrieveRange(matches.data() + m0, n, part);
+                    return std::move(part.out);
                 }));
         } else {
-            rs = retrieveRange(matches.data(), nbase);
+            retrieveRange(matches.data(), nbase, sink);
         }
         retrieveDelta(matches.data() + nbase, matches.size() - nbase,
-                      rs);
-        return rs;
+                      sink);
+        return std::move(sink.out);
     }
 
-  private:
     /** The sealed-partition merge scan (the original project body). */
     ResultSet
     projectBase()
@@ -185,7 +211,7 @@ class Exec
             std::vector<int64_t> bounds =
                 oidBoundaries(tablePtr(op.driving));
             if (bounds.size() > 2)
-                return concat(scatter<ResultSet>(
+                return merge(scatter<ResultSet>(
                     bounds.size() - 1, [&](Exec &lane, size_t i) {
                         return lane.projectRange(op, tables, bounds[i],
                                                  bounds[i + 1]);
@@ -873,7 +899,7 @@ class Exec
 
     /** Concatenate ordered partial results; XOR-merge checksums. */
     static ResultSet
-    concat(std::vector<ResultSet> parts)
+    merge(std::vector<ResultSet> parts)
     {
         DVP_TRACE_SPAN(merge_span, "merge", "concat partials");
         ResultSet rs;
@@ -889,6 +915,20 @@ class Exec
                       std::back_inserter(rs.rows));
         }
         return rs;
+    }
+
+    /** Fold per-morsel group counts (in morsel order); XOR checksums. */
+    static ops::GroupCounts
+    merge(std::vector<ops::GroupCounts> parts)
+    {
+        DVP_TRACE_SPAN(merge_span, "merge", "merge group counts");
+        ops::GroupCounts g = std::move(parts.front());
+        for (size_t i = 1; i < parts.size(); ++i) {
+            g.checksum ^= parts[i].checksum;
+            for (const auto &[key, count] : parts[i].counts)
+                g.counts[key] += count;
+        }
+        return g;
     }
 
     /**
@@ -1210,17 +1250,17 @@ class Exec
     }
 
     /**
-     * Retrieve rows for @p count already-matched oids at @p matches.
-     * Matches must be in increasing oid order; per-table cursors then
-     * seek forward only.
+     * Retrieve @p count already-matched oids at @p matches into
+     * @p sink.  Matches must be in increasing oid order; per-table
+     * cursors then seek forward only.
      */
-    ResultSet
-    retrieveRange(const int64_t *matches, size_t count)
+    template <class Sink>
+    void
+    retrieveRange(const int64_t *matches, size_t count, Sink &sink)
     {
         const IndexRetrieveOp &op = plan.retrieve;
-        ResultSet rs;
-        rs.oids.reserve(count);
-        rs.rows.reserve(count);
+        sink.reserve(count);
+        uint64_t checksum = 0;
 
         if (op.selectAll) {
             // Probes every partition; the row width is the bind-time
@@ -1232,7 +1272,7 @@ class Exec
             std::vector<Cursor> cursor(db.tableCount());
             for (size_t m = 0; m < count; ++m) {
                 int64_t oid = matches[m];
-                std::vector<Slot> row(width, kNullSlot);
+                sink.begin(width);
                 for (size_t ti = 0; ti < db.tableCount(); ++ti) {
                     const Table &t = db.table(ti);
                     if (probe(t, cursor[ti], oid) == storage::kNoRow)
@@ -1242,15 +1282,15 @@ class Exec
                     for (size_t ccol = 0; ccol < schema.size(); ++ccol) {
                         Slot s = rec[1 + ccol];
                         if (schema[ccol] < width)
-                            row[schema[ccol]] = s;
+                            sink.cell(schema[ccol], s);
                         if (!isNull(s))
-                            rs.checksum ^= cellDigest(schema[ccol], s);
+                            checksum ^= cellDigest(schema[ccol], s);
                     }
                 }
-                rs.oids.push_back(oid);
-                rs.rows.push_back(std::move(row));
+                sink.end(oid);
             }
-            return rs;
+            sink.out.checksum ^= checksum;
+            return;
         }
 
         // Explicit projection list: the bound groups, one cursor each.
@@ -1267,33 +1307,33 @@ class Exec
 
         for (size_t m = 0; m < count; ++m) {
             int64_t oid = matches[m];
-            std::vector<Slot> row(op.outWidth, kNullSlot);
+            sink.begin(op.outWidth);
             for (auto &g : groups) {
                 if (probe(*g.table, g.cursor, oid) == storage::kNoRow)
                     continue;
                 for (const auto &pc : *g.cols) {
                     Slot s = readCell(*g.table, g.cursor.pos,
                                       static_cast<size_t>(pc.col));
-                    row[pc.out] = s;
+                    sink.cell(pc.out, s);
                     if (!isNull(s))
-                        rs.checksum ^= cellDigest(pc.attr, s);
+                        checksum ^= cellDigest(pc.attr, s);
                 }
             }
-            rs.oids.push_back(oid);
-            rs.rows.push_back(std::move(row));
+            sink.end(oid);
         }
-        return rs;
+        sink.out.checksum ^= checksum;
     }
 
     /**
-     * Materialize @p count matched delta oids (all >= firstOid) from
-     * the row-major tail, appending to @p rs.  Mirrors retrieveRange's
-     * two modes: SELECT * scatters the document into a bind-width
-     * dense row (digesting every non-null cell, even past the width);
-     * an explicit list reads just the plan's output attributes.
+     * Retrieve @p count matched delta oids (all >= firstOid) from the
+     * row-major tail into @p sink.  Mirrors retrieveRange's two modes:
+     * SELECT * scatters the document over the bind-width output
+     * (digesting every non-null cell, even past the width); an
+     * explicit list reads just the plan's output attributes.
      */
+    template <class Sink>
     void
-    retrieveDelta(const int64_t *matches, size_t count, ResultSet &rs)
+    retrieveDelta(const int64_t *matches, size_t count, Sink &sink)
     {
         if (count == 0)
             return;
@@ -1306,26 +1346,23 @@ class Exec
             countTouch();
             countDelta();
             if (op.selectAll) {
-                std::vector<Slot> row(plan.catalogWidth, kNullSlot);
+                sink.begin(plan.catalogWidth);
                 for (const auto &[a, s] : doc.attrs) {
                     if (a < plan.catalogWidth)
-                        row[a] = s;
+                        sink.cell(a, s);
                     if (!isNull(s))
-                        rs.checksum ^= cellDigest(a, s);
+                        sink.out.checksum ^= cellDigest(a, s);
                 }
-                rs.oids.push_back(doc.oid);
-                rs.rows.push_back(std::move(row));
-                continue;
+            } else {
+                sink.begin(op.outWidth);
+                for (size_t j = 0; j < op.attrs.size(); ++j) {
+                    Slot s = doc.slotOf(op.attrs[j]);
+                    sink.cell(j, s);
+                    if (!isNull(s))
+                        sink.out.checksum ^= cellDigest(op.attrs[j], s);
+                }
             }
-            std::vector<Slot> row(op.outWidth, kNullSlot);
-            for (size_t j = 0; j < op.attrs.size(); ++j) {
-                Slot s = doc.slotOf(op.attrs[j]);
-                row[j] = s;
-                if (!isNull(s))
-                    rs.checksum ^= cellDigest(op.attrs[j], s);
-            }
-            rs.oids.push_back(doc.oid);
-            rs.rows.push_back(std::move(row));
+            sink.end(doc.oid);
         }
     }
 };

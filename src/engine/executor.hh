@@ -11,7 +11,8 @@
  *    other partitions through the sorted-oid primary-key index;
  *  - rows whose projected attributes are all NULL are not emitted, so
  *    result sets are identical across layouts (sparse omission);
- *  - aggregation runs the selection part first, then folds groups;
+ *  - aggregation runs the selection part first, folding each retrieved
+ *    match into its group's count instead of materializing a row;
  *  - the self-join hash-partitions matching left records and probes
  *    with a scan of the right join column.
  *

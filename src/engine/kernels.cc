@@ -169,6 +169,7 @@ numericMask(__m256i v, __m256i vnull, __m256i vone)
         const __m256i vnull = _mm256_set1_epi64x(kNullSlot);            \
         const __m256i vone = _mm256_set1_epi64x(1);                     \
         const __m256i vall = _mm256_set1_epi64x(-1);                    \
+        (void)vlo;                                                      \
         (void)vhi;                                                      \
         (void)vone;                                                     \
         (void)vall;                                                     \

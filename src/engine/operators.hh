@@ -6,27 +6,37 @@
  *
  * A Backend supplies the layout-specific kernels:
  *
- *   ResultSet project(const Query &);            // Project
- *   Matches   matches(const Query &);            // WHERE clause scan
- *   ResultSet retrieve(const Query &, Matches);  // materialize matches
- *   ResultSet join(const Query &);               // self-join
- *   void      insertDoc(const storage::Document &);
+ *   ResultSet   project(const Query &);            // Project
+ *   Matches     matches(const Query &);            // WHERE clause scan
+ *   ResultSet   retrieve(const Query &, Matches);  // materialize matches
+ *   GroupCounts retrieveGroups(const Query &, Matches, size_t group_col);
+ *   ResultSet   join(const Query &);               // self-join
+ *   void        insertDoc(const storage::Document &);
  *
  * where `Matches` is whatever match representation the backend's scan
  * produces (sorted oids for the partitioned engine — computed by the
  * batched SelVec kernels of engine/kernels.hh on the timing path —
- * decision-site records for Argo).  The kind switch, the
- * aggregate's selection-first
- * orchestration and group fold (paper §VI-B), and the bulk-insert loop
- * live here exactly once; they used to be duplicated verbatim between
- * src/engine/executor.cc and src/argo/argo_executor.cc.
+ * decision-site records for Argo).
+ *
+ * retrieve and retrieveGroups are one retrieval kernel with two sinks
+ * (RowSink, GroupSink below): both make the same probes, record reads
+ * and cell digests in the same order, so an aggregate still retrieves
+ * every cell its Select sub-query would (paper §VI-B) — it just folds
+ * each match's grouping cell into a count instead of materializing a
+ * row.  The kind switch, the aggregate's selection-first orchestration
+ * and group emission, and the bulk-insert loop live here exactly once;
+ * they used to be duplicated verbatim between src/engine/executor.cc
+ * and src/argo/argo_executor.cc.
  */
 
 #ifndef DVP_ENGINE_OPERATORS_HH
 #define DVP_ENGINE_OPERATORS_HH
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "engine/query.hh"
 #include "obs/trace.hh"
@@ -65,6 +75,68 @@ aggregateGroupColumn(const Query &sub)
     return SIZE_MAX;
 }
 
+/** COUNT(*) per grouping key, plus the retrieval's cell checksum. */
+struct GroupCounts
+{
+    std::unordered_map<storage::Slot, uint64_t> counts;
+    uint64_t checksum = 0;
+};
+
+/**
+ * Retrieval sinks.  A backend's retrieval kernel owns every probe,
+ * record read and cell digest; per match it calls begin(width), then
+ * cell(i, s) for each cell that lands in output column i (the AttrId
+ * for SELECT *, the list position otherwise; unset columns are NULL),
+ * then end(oid), and XORs the digests into out.checksum.  The sink
+ * only decides what to keep.
+ */
+
+/** Select: one dense row per match. */
+struct RowSink
+{
+    ResultSet out;
+    std::vector<storage::Slot> row;
+
+    void
+    reserve(size_t n)
+    {
+        out.oids.reserve(n);
+        out.rows.reserve(n);
+    }
+    void begin(size_t width) { row.assign(width, storage::kNullSlot); }
+    void cell(size_t i, storage::Slot s) { row[i] = s; }
+    void
+    end(int64_t oid)
+    {
+        out.oids.push_back(oid);
+        out.rows.push_back(std::move(row));
+    }
+};
+
+/**
+ * Aggregate: count each match under the cell it would have had in
+ * output column @ref col, allocating no row.  A grouping column the
+ * layout never materialized reads as NULL, exactly like the dense row.
+ */
+struct GroupSink
+{
+    GroupCounts out;
+    size_t col = SIZE_MAX; ///< output column of the grouping attribute
+    storage::Slot key = storage::kNullSlot;
+
+    explicit GroupSink(size_t col) : col(col) {}
+
+    void reserve(size_t) {}
+    void begin(size_t) { key = storage::kNullSlot; }
+    void
+    cell(size_t i, storage::Slot s)
+    {
+        if (i == col)
+            key = s;
+    }
+    void end(int64_t) { ++out.counts[key]; }
+};
+
 template <class Backend>
 ResultSet
 select(Backend &b, const Query &q)
@@ -73,6 +145,12 @@ select(Backend &b, const Query &q)
     return b.retrieve(q, matches);
 }
 
+/**
+ * COUNT(*) ... GROUP BY: run the Select sub-query's scan and retrieval
+ * with a GroupSink, then emit one [key, count] row per group in
+ * ascending key order — the canonical order, so the rows never depend
+ * on hash iteration or on how many lanes folded partial counts.
+ */
 template <class Backend>
 ResultSet
 aggregate(Backend &b, const Query &q)
@@ -80,23 +158,18 @@ aggregate(Backend &b, const Query &q)
     invariant(q.groupBy != storage::kNoAttr,
               "aggregate query needs a GROUP BY column");
     Query sub = aggregateSubQuery(q);
-    ResultSet selected = select(b, sub);
+    auto matches = b.matches(sub);
+    GroupCounts groups =
+        b.retrieveGroups(sub, matches, aggregateGroupColumn(sub));
 
     DVP_TRACE_SPAN(fold_span, "merge", "aggregate fold");
+    std::vector<std::pair<storage::Slot, uint64_t>> sorted(
+        groups.counts.begin(), groups.counts.end());
+    std::sort(sorted.begin(), sorted.end());
     ResultSet rs;
-    rs.checksum = selected.checksum;
-    size_t group_col = aggregateGroupColumn(sub);
-    std::unordered_map<storage::Slot, uint64_t> counts;
-    for (const auto &row : selected.rows) {
-        // A grouping column the layout never materialized reads as
-        // NULL here, folding every row into the NULL group.
-        storage::Slot key = storage::kNullSlot;
-        if (group_col < row.size())
-            key = row[group_col];
-        ++counts[key];
-    }
-    rs.rows.reserve(counts.size());
-    for (const auto &[key, count] : counts)
+    rs.checksum = groups.checksum;
+    rs.rows.reserve(sorted.size());
+    for (const auto &[key, count] : sorted)
         rs.rows.push_back({key, static_cast<storage::Slot>(count)});
     return rs;
 }

@@ -184,6 +184,27 @@ TEST_F(TinyDb, AggregateCountsGroups)
     EXPECT_EQ(groups[kNullSlot], 1);
 }
 
+TEST_F(TinyDb, AggregateRowsAscendByKey)
+{
+    // Group rows come back in ascending key order (NULL, the smallest
+    // slot, first) on every layout, at every thread count.
+    Query q;
+    q.kind = QueryKind::Aggregate;
+    q.groupBy = c;
+    for (const Layout &l : {Layout::rowBased(data.catalog.allAttrs()),
+                            Layout::columnBased(data.catalog.allAttrs())}) {
+        Database db(data, l, "tiny");
+        for (size_t threads : {1u, 4u}) {
+            Executor exec(db, threads);
+            exec.setMorselRows(1);
+            ResultSet rs = exec.run(q);
+            std::vector<std::vector<Slot>> want = {
+                {kNullSlot, 1}, {10, 1}, {20, 1}, {40, 1}, {50, 1}};
+            EXPECT_EQ(rs.rows, want); // doc 2 has no c: the NULL group
+        }
+    }
+}
+
 TEST_F(TinyDb, JoinMatchesPairs)
 {
     // Self-join ON b = b is degenerate; instead join s1 against b by

@@ -9,7 +9,9 @@
  * counters are independent of the thread knob because traced runs are
  * pinned to the serial path.  A final suite exercises the adaptive
  * engine with concurrent callers and a background repartition (the
- * TSan configuration of scripts/ci.sh makes that a race hunt).
+ * TSan configuration of scripts/ci.sh makes that a race hunt).  The
+ * GroupFold suite holds COUNT(*) GROUP BY to its Select sub-query
+ * folded by hand, on every layout, thread count and delta state.
  *
  * Scale comes from DVP_TEST_DOCS (default 4000) so the ThreadSanitizer
  * build can dial it down without editing the test.
@@ -18,17 +20,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <thread>
 
 #include "adaptive/adaptive_engine.hh"
+#include "argo/argo_executor.hh"
+#include "argo/argo_store.hh"
 #include "dvp/partitioner.hh"
 #include "engine/database.hh"
 #include "engine/executor.hh"
 #include "engine/query.hh"
+#include "hyrise/hyrise_layouter.hh"
 #include "nobench/generator.hh"
 #include "nobench/queries.hh"
 #include "nobench/workload.hh"
 #include "perf/memory_hierarchy.hh"
+#include "storage/delta.hh"
 #include "util/thread_pool.hh"
 
 namespace dvp
@@ -186,6 +193,224 @@ TEST(MorselExecution, ThreadCountAboveLaneCountClamps)
     exec.setMorselRows(64);
     expectSame(exec.run(w.queries[nobench::kQ1]),
                w.row_ref[nobench::kQ1]);
+}
+
+// ---------------------------------------------------------------------
+// COUNT(*) GROUP BY oracle: an aggregate must equal its Select
+// sub-query folded by hand — the same rows in ascending key order and
+// the same checksum — on every layout, thread count and delta state,
+// and must trace exactly the sub-query's simulated memory accesses.
+// ---------------------------------------------------------------------
+
+/**
+ * Q10 (SELECT *) and an explicit-list GROUP BY that omits the key,
+ * both widened to match about half the documents so the retrieval
+ * spans many morsels and reaches into the delta tail.
+ */
+std::vector<Query>
+groupQueries(const ParallelWorld &w)
+{
+    Query q10 = w.queries[nobench::kQ10];
+    q10.cond.lo = 0;
+    q10.cond.hi = w.cfg.numRange / 2;
+    Query listed = q10;
+    listed.name = "Q10-list";
+    listed.selectAll = false;
+    listed.projected = {w.data.catalog.find("str1"),
+                        w.data.catalog.find("num")};
+    return {q10, listed};
+}
+
+/** The Select sub-query an aggregate runs first (paper §VI-B). */
+Query
+selectPart(const Query &q)
+{
+    Query sub = q;
+    sub.kind = engine::QueryKind::Select;
+    if (!sub.selectAll)
+        sub.projected.push_back(q.groupBy);
+    return sub;
+}
+
+/** COUNT(*) GROUP BY folded by hand from selectPart(q)'s rows. */
+ResultSet
+foldByHand(const Query &q, const ResultSet &selected)
+{
+    size_t col = q.selectAll ? q.groupBy : q.projected.size();
+    std::map<storage::Slot, storage::Slot> counts;
+    for (const auto &row : selected.rows)
+        ++counts[col < row.size() ? row[col] : storage::kNullSlot];
+    ResultSet rs;
+    rs.checksum = selected.checksum;
+    for (const auto &[key, n] : counts)
+        rs.rows.push_back({key, n});
+    return rs;
+}
+
+void
+expectHandFold(const ResultSet &agg, const Query &q,
+               const ResultSet &selected)
+{
+    ResultSet want = foldByHand(q, selected);
+    EXPECT_GT(want.rowCount(), 1u); // a real fold, not one group
+    EXPECT_EQ(agg.rows, want.rows); // same order, not just same set
+    EXPECT_EQ(agg.checksum, want.checksum);
+    EXPECT_TRUE(agg.oids.empty());
+}
+
+/** Every layout of the ParallelWorld data, plus a delta-split base. */
+struct GroupFoldWorld
+{
+    static constexpr size_t kDeltaDocs = 300;
+
+    std::vector<std::pair<std::string, const Database *>> partitioned;
+    std::unique_ptr<Database> column, hyrise;
+    std::unique_ptr<argo::ArgoStore> argo1, argo3;
+
+    /** Base data without the last kDeltaDocs, and those docs' tail. */
+    DataSet baseData;
+    std::unique_ptr<storage::DeltaStore> delta;
+
+    GroupFoldWorld()
+    {
+        ParallelWorld &w = world();
+        auto attrs = w.data.catalog.allAttrs();
+        column = std::make_unique<Database>(
+            w.data, Layout::columnBased(attrs), "column");
+        nobench::QuerySet qs(w.data, w.cfg);
+        Rng rng(11);
+        hyrise::HyriseLayouter hl(
+            w.data.catalog,
+            nobench::representatives(qs, nobench::Mix::uniform(), rng),
+            w.data.docs.size());
+        hyrise = std::make_unique<Database>(w.data, *hl.run().layout,
+                                            "Hyrise");
+        partitioned = {{"row", w.row.get()},
+                       {"column", column.get()},
+                       {"DVP", w.dvp.get()},
+                       {"Hyrise", hyrise.get()}};
+        argo1 = std::make_unique<argo::ArgoStore>(w.data,
+                                                  argo::Variant::Argo1);
+        argo3 = std::make_unique<argo::ArgoStore>(w.data,
+                                                  argo::Variant::Argo3);
+
+        baseData = w.data;
+        size_t nbase = baseData.docs.size() - kDeltaDocs;
+        baseData.docs.resize(nbase);
+        delta = std::make_unique<storage::DeltaStore>(
+            static_cast<int64_t>(nbase));
+        for (size_t i = nbase; i < w.data.docs.size(); ++i)
+            delta->append(w.data.docs[i]);
+    }
+};
+
+GroupFoldWorld &
+groupWorld()
+{
+    static GroupFoldWorld g;
+    return g;
+}
+
+TEST(GroupFold, PartitionedLayoutsMatchHandFoldAtEveryThreadCount)
+{
+    ParallelWorld &w = world();
+    for (const auto &[name, db] : groupWorld().partitioned) {
+        for (size_t threads : {1u, 2u, 4u}) {
+            Executor exec(*const_cast<Database *>(db), threads);
+            exec.setMorselRows(64);
+            for (const Query &q : groupQueries(w)) {
+                SCOPED_TRACE(name + " " + q.name + " threads=" +
+                             std::to_string(threads));
+                ResultSet sel = exec.run(selectPart(q));
+                EXPECT_GT(sel.rowCount(), 4 * exec.morselRows());
+                expectHandFold(exec.run(q), q, sel);
+            }
+        }
+    }
+}
+
+TEST(GroupFold, DeltaTailMatchesHandFoldAndTheFoldedTable)
+{
+    // The last kDeltaDocs documents sit unfolded in a delta tail; the
+    // aggregate must still match its own sub-query and, cell for cell,
+    // the same aggregate over the fully loaded table.
+    ParallelWorld &w = world();
+    GroupFoldWorld &g = groupWorld();
+    for (const auto &[name, full] : g.partitioned) {
+        Database base(g.baseData, full->layout(), name + "-base");
+        for (size_t threads : {1u, 2u, 4u}) {
+            Executor exec(base, threads);
+            exec.setMorselRows(64);
+            exec.setDelta(g.delta.get(), g.delta->size());
+            Executor folded(*const_cast<Database *>(full), threads);
+            for (const Query &q : groupQueries(w)) {
+                SCOPED_TRACE(name + " " + q.name + " threads=" +
+                             std::to_string(threads));
+                ResultSet agg = exec.run(q);
+                expectHandFold(agg, q, exec.run(selectPart(q)));
+                ResultSet ref = folded.run(q);
+                EXPECT_EQ(agg.rows, ref.rows);
+                EXPECT_EQ(agg.checksum, ref.checksum);
+            }
+        }
+    }
+}
+
+TEST(GroupFold, ArgoStoresMatchHandFold)
+{
+    ParallelWorld &w = world();
+    GroupFoldWorld &g = groupWorld();
+    for (argo::ArgoStore *store : {g.argo1.get(), g.argo3.get()}) {
+        argo::ArgoExecutor exec(*store);
+        for (const Query &q : groupQueries(w)) {
+            SCOPED_TRACE(q.name);
+            ResultSet agg = exec.run(q);
+            expectHandFold(agg, q, exec.run(selectPart(q)));
+            // Argo reads the same logical cells as the partitions.
+            Executor row(*w.row);
+            EXPECT_EQ(agg.rows, row.run(q).rows);
+        }
+    }
+}
+
+TEST(GroupFold, TracedCountersEqualTheSelectSubQuery)
+{
+    // The fold allocates no rows but must retrieve exactly what the
+    // Select sub-query retrieves: the same simulated L1/L2/LLC/TLB
+    // counters, access for access.
+    ParallelWorld &w = world();
+    GroupFoldWorld &g = groupWorld();
+    auto expectSameCounters = [](const perf::MemoryHierarchy &agg,
+                                 const perf::MemoryHierarchy &sel) {
+        auto a = agg.counters();
+        auto b = sel.counters();
+        EXPECT_GT(a.accesses, 0u);
+        EXPECT_EQ(a.accesses, b.accesses);
+        EXPECT_EQ(a.l1Misses, b.l1Misses);
+        EXPECT_EQ(a.l2Misses, b.l2Misses);
+        EXPECT_EQ(a.l3Misses, b.l3Misses);
+        EXPECT_EQ(a.tlbMisses, b.tlbMisses);
+    };
+    for (const Query &q : groupQueries(w)) {
+        for (const auto &[name, db] : g.partitioned) {
+            SCOPED_TRACE(name + " " + q.name);
+            Executor exec(*const_cast<Database *>(db));
+            perf::MemoryHierarchy mh_agg, mh_sel;
+            ResultSet agg = exec.run(q, mh_agg);
+            ResultSet sel = exec.run(selectPart(q), mh_sel);
+            expectHandFold(agg, q, sel);
+            expectSameCounters(mh_agg, mh_sel);
+        }
+        for (argo::ArgoStore *store : {g.argo1.get(), g.argo3.get()}) {
+            SCOPED_TRACE(q.name);
+            argo::ArgoExecutor exec(*store);
+            perf::MemoryHierarchy mh_agg, mh_sel;
+            ResultSet agg = exec.run(q, mh_agg);
+            ResultSet sel = exec.run(selectPart(q), mh_sel);
+            expectHandFold(agg, q, sel);
+            expectSameCounters(mh_agg, mh_sel);
+        }
+    }
 }
 
 TEST(AdaptiveParallel, ConcurrentExecuteWithBackgroundRepartition)
