@@ -354,12 +354,15 @@ main(int argc, char **argv)
     if (dur)
         dur->quiesce();
 
-    server::ServerStats s = server.stats();
-    std::printf("dvpd: drained — %llu connections, %llu requests, "
-                "%llu rejects\n",
-                static_cast<unsigned long long>(s.connections),
-                static_cast<unsigned long long>(s.requests),
-                static_cast<unsigned long long>(s.rejects));
+    obs::Registry &reg = obs::Registry::global();
+    std::printf(
+        "dvpd: drained — %llu connections, %llu requests, %llu rejects\n",
+        static_cast<unsigned long long>(
+            reg.counter("dvp_server_connections_total").value()),
+        static_cast<unsigned long long>(
+            reg.counter("dvp_server_requests_total").value()),
+        static_cast<unsigned long long>(
+            reg.counter("dvp_server_rejects_total").value()));
 
     if (dump_audit) {
         std::printf("adaptive-decision audit (%zu records):\n",

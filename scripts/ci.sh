@@ -190,10 +190,17 @@ done
 ./build-ci/examples/dvp_client --port "$DVPD_PORT" --legacy --stats \
     "SELECT str1, num FROM t" > "$OBS_TMP/legacy.out"
 grep -q "requests_total" "$OBS_TMP/legacy.out"
-python3 - "$OBS_TMP" "$HTTP_PORT" <<'EOF'
-import json, sys, urllib.request
-tmp, port = sys.argv[1], sys.argv[2]
+python3 - "$OBS_TMP" "$HTTP_PORT" "$DVPD_PORT" <<'EOF'
+import json, subprocess, sys, urllib.request
+tmp, port, dvpd_port = sys.argv[1], sys.argv[2], sys.argv[3]
 base = f"http://127.0.0.1:{port}"
+# STATS renders the registry, so with no query in between it must
+# agree with /metrics on the same dvpd.
+stats = subprocess.run(
+    ["./build-ci/examples/dvp_client", "--port", dvpd_port, "--stats"],
+    check=True, capture_output=True, text=True).stdout
+stats = dict(l.split() for l in stats.splitlines()
+             if len(l.split()) == 2)
 prom = urllib.request.urlopen(base + "/metrics", timeout=5).read().decode()
 # Prometheus text format: non-comment lines are "name[{labels}] value".
 names = set()
@@ -205,6 +212,10 @@ for line in prom.splitlines():
     names.add(name.split("{")[0])
 assert "dvp_server_requests_total" in names, sorted(names)[:20]
 assert "dvp_queries_total" in names
+prom_requests = next(l.split()[1] for l in prom.splitlines()
+                     if l.startswith("dvp_server_requests_total "))
+assert stats["server_requests_total"] == prom_requests, \
+    (stats["server_requests_total"], prom_requests)
 health = urllib.request.urlopen(base + "/healthz", timeout=5).read().decode()
 assert health.strip() == "ok", health
 recs = [json.loads(l) for l in open(f"{tmp}/slow.ndjson")]

@@ -27,6 +27,7 @@ AdaptiveEngine::AdaptiveEngine(engine::DataSet &data,
                                             prm.compress);
     delta_ = std::make_shared<storage::DeltaStore>(
         static_cast<int64_t>(data.docs.size()));
+    publishDelta();
 
     AuditRecord rec;
     rec.trigger = "initial";
@@ -65,6 +66,7 @@ AdaptiveEngine::AdaptiveEngine(RestoreTag, engine::DataSet &data,
         static_cast<int64_t>(r.baseDocs));
     for (size_t i = r.baseDocs; i < data.docs.size(); ++i)
         delta_->append(data.docs[i]);
+    publishDelta();
     adapt_stats.lastLayoutTables = r.layout.partitionCount();
 
     AuditRecord rec;
@@ -108,6 +110,14 @@ AdaptiveEngine::checkpointCut()
     cut.baseDocs = db->docCount();
     cut.walLsn = dur_ ? dur_->wal()->appendedLsn() : 0;
     return cut;
+}
+
+void
+AdaptiveEngine::publishDelta() const
+{
+    DVP_GAUGE_SET("dvp_delta_rows", static_cast<int64_t>(delta_->size()));
+    DVP_GAUGE_SET("dvp_delta_bytes",
+                  static_cast<int64_t>(delta_->bytes()));
 }
 
 void
@@ -197,7 +207,7 @@ AdaptiveEngine::execute(const engine::Query &q, engine::QueryStats *stats)
     uint64_t scanned = snap.base->docCount() + snap.deltaRows;
     bool changed = false;
     {
-        std::lock_guard<std::mutex> lock(stats_mutex);
+        std::lock_guard<std::mutex> lock(detector_mutex);
         wstats.record(q, seconds, rs.rowCount(), scanned);
         if (prm.adapt && detector.observe(q)) {
             ++adapt_stats.changesDetected;
@@ -268,6 +278,7 @@ AdaptiveEngine::ingestFlatBatch(
             ack.lastOid = data->addFlat(flat);
             delta->append(data->docs.back());
         }
+        publishDelta();
         pending = delta->size();
         ack.count = docs.size();
         ack.totalDocs = data->docs.size();
@@ -294,9 +305,6 @@ AdaptiveEngine::finishIngest(IngestAck ack,
     if (n == 0)
         return ack;
     DVP_COUNTER_ADD("dvp_inserts_total", n);
-    DVP_GAUGE_SET("dvp_delta_rows", static_cast<int64_t>(pending));
-    DVP_GAUGE_SET("dvp_delta_bytes",
-                  static_cast<int64_t>(delta->bytes()));
 
     // Feed the change detector's data-drift windows.  The appended
     // rows are immutable, so reading them back through the captured
@@ -304,7 +312,7 @@ AdaptiveEngine::finishIngest(IngestAck ack,
     // meanwhile.
     bool changed = false;
     if (prm.adapt) {
-        std::lock_guard<std::mutex> lock(stats_mutex);
+        std::lock_guard<std::mutex> lock(detector_mutex);
         for (size_t i = first_idx; i < pending; ++i)
             if (detector.observeIngest(delta->doc(i)))
                 changed = true;
@@ -331,7 +339,7 @@ AdaptiveEngine::maybeRepartition(const std::string &trigger)
     // is skipped (repartitionNow keeps the current layout).
     std::vector<engine::Query> workload;
     if (prm.adapt) {
-        std::lock_guard<std::mutex> lock(stats_mutex);
+        std::lock_guard<std::mutex> lock(detector_mutex);
         workload = wstats.representatives();
     }
     if (workload.empty() && deltaRows() == 0) {
@@ -430,8 +438,6 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
     Timer swap_timer;
     uint64_t caught_up = 0;
     uint64_t folded = 0;
-    size_t new_delta_rows = 0;
-    size_t new_delta_bytes = 0;
     uint64_t swap_lsn = 0;
     {
         DVP_TRACE_SPAN(swap_span, "swap", "catch-up + pointer swap");
@@ -450,11 +456,10 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
             static_cast<int64_t>(i));
         for (; i < data->docs.size(); ++i)
             successor->append(data->docs[i]);
-        new_delta_rows = successor->size();
-        new_delta_bytes = successor->bytes();
         folded = fresh->docCount() - old_base_docs;
         db = std::move(fresh);
         delta_ = std::move(successor);
+        publishDelta();
         adapt_stats.lastLayoutTables = res.layout.partitionCount();
         ++adapt_stats.repartitions;
         // Log the committed swap inside the same critical section so
@@ -471,10 +476,6 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
                  err.c_str());
     }
     double swap_seconds = swap_timer.seconds();
-    DVP_GAUGE_SET("dvp_delta_rows",
-                  static_cast<int64_t>(new_delta_rows));
-    DVP_GAUGE_SET("dvp_delta_bytes",
-                  static_cast<int64_t>(new_delta_bytes));
     if (folded > 0) {
         DVP_COUNTER_INC("dvp_delta_folds_total");
         DVP_HISTOGRAM_OBSERVE(
@@ -497,7 +498,7 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
     rec.deltaFolded = folded;
     pushAudit(std::move(rec));
     {
-        std::lock_guard<std::mutex> lock(stats_mutex);
+        std::lock_guard<std::mutex> lock(detector_mutex);
         wstats.reset();
         detector.reset();
     }

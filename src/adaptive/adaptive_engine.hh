@@ -317,6 +317,8 @@ class AdaptiveEngine
     void repartitionNow(std::vector<engine::Query> workload,
                         std::string trigger);
     void pushAudit(AuditRecord rec);
+    /** Mirror delta_ into the dvp_delta_* gauges (db_mutex held). */
+    void publishDelta() const;
     IngestAck ingestMany(const json::JsonValue *docs, size_t n);
     IngestAck finishIngest(IngestAck ack,
                            std::shared_ptr<storage::DeltaStore> delta,
@@ -339,7 +341,7 @@ class AdaptiveEngine
      * query on its own snapshot) and concurrently with a background
      * repartition resetting the collectors.
      */
-    mutable std::mutex stats_mutex;
+    mutable std::mutex detector_mutex;
     stats::WorkloadStats wstats;
     stats::ChangeDetector detector;
     AdaptationStats adapt_stats;

@@ -268,13 +268,12 @@ Manager::open(engine::DataSet &out, RecoveryInfo &info)
     }
     info.recovered = true;
     info.seconds = timer.seconds();
-    stats_.recoveredDocs.store(out.docs.size(),
-                               std::memory_order_relaxed);
-    stats_.replayedRecords.store(info.replayedRecords,
-                                 std::memory_order_relaxed);
-    stats_.recoveryMs.store(
-        static_cast<uint64_t>(info.seconds * 1e3),
-        std::memory_order_relaxed);
+    DVP_GAUGE_SET("dvp_recovered_docs",
+                  static_cast<int64_t>(out.docs.size()));
+    DVP_GAUGE_SET("dvp_wal_replayed_records",
+                  static_cast<int64_t>(info.replayedRecords));
+    DVP_GAUGE_SET("dvp_recovery_ms",
+                  static_cast<int64_t>(info.seconds * 1e3));
     DVP_HISTOGRAM_OBSERVE("dvp_wal_replay_ns",
                           static_cast<uint64_t>(info.seconds * 1e9));
     return "";
@@ -439,12 +438,11 @@ Manager::checkpointNow()
     res.walLsn = cut.walLsn;
     res.bytes = image.size();
     res.seconds = timer.seconds();
-    stats_.checkpoints.fetch_add(1, std::memory_order_relaxed);
-    stats_.lastCheckpointLsn.store(cut.walLsn,
-                                   std::memory_order_relaxed);
-    stats_.lastCheckpointDocs.store(res.docs,
-                                    std::memory_order_relaxed);
     DVP_COUNTER_INC("dvp_checkpoints_total");
+    DVP_GAUGE_SET("dvp_last_checkpoint_lsn",
+                  static_cast<int64_t>(cut.walLsn));
+    DVP_GAUGE_SET("dvp_last_checkpoint_docs",
+                  static_cast<int64_t>(res.docs));
     DVP_HISTOGRAM_OBSERVE("dvp_checkpoint_ns",
                           static_cast<uint64_t>(res.seconds * 1e9));
     return res;

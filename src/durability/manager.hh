@@ -107,17 +107,6 @@ struct CheckpointResult
     double seconds = 0;
 };
 
-/** Monotonic counters surfaced in STATS. */
-struct ManagerStats
-{
-    std::atomic<uint64_t> checkpoints{0};
-    std::atomic<uint64_t> lastCheckpointLsn{0};
-    std::atomic<uint64_t> lastCheckpointDocs{0};
-    std::atomic<uint64_t> recoveredDocs{0};
-    std::atomic<uint64_t> replayedRecords{0};
-    std::atomic<uint64_t> recoveryMs{0};
-};
-
 /** See the file comment. */
 class Manager
 {
@@ -174,7 +163,6 @@ class Manager
     void quiesce();
 
     Wal *wal() { return wal_.get(); }
-    const ManagerStats &stats() const { return stats_; }
     const Config &config() const { return cfg_; }
 
     // -----------------------------------------------------------------
@@ -208,7 +196,6 @@ class Manager
     Config cfg_;
     std::unique_ptr<Wal> wal_;
     CutFn cut_;
-    ManagerStats stats_;
 
     std::mutex ckpt_mu_;            ///< serializes checkpoints
     std::mutex manifest_mu_;        ///< guards manifest_

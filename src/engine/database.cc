@@ -146,7 +146,6 @@ Database::bytesUsed() const
 void
 Database::publishFootprint() const
 {
-#ifndef DVP_OBS_DISABLED
     auto &reg = obs::Registry::global();
     for (size_t p = 0; p < tables_.size(); ++p) {
         const storage::Table &t = tables_[p];
@@ -162,7 +161,6 @@ Database::publishFootprint() const
         .set(static_cast<int64_t>(storageBytes()));
     reg.gauge("dvp_db_bytes{db=\"" + name_ + "\",form=\"used\"}")
         .set(static_cast<int64_t>(bytesUsed()));
-#endif
 }
 
 std::vector<double>

@@ -560,19 +560,13 @@ class Exec
     void
     countRows(uint64_t n)
     {
-#ifndef DVP_OBS_DISABLED
         obs_rows_scanned += n;
-#else
-        (void)n;
-#endif
     }
 
     void
     countTouch()
     {
-#ifndef DVP_OBS_DISABLED
         ++obs_partition_touches;
-#endif
     }
 
     bool
@@ -584,22 +578,16 @@ class Exec
     void
     countDelta()
     {
-#ifndef DVP_OBS_DISABLED
         ++obs_delta_rows;
-#endif
     }
 
     void
     countBlock(bool skipped)
     {
-#ifndef DVP_OBS_DISABLED
         if (skipped)
             ++obs_blocks_skipped;
         else
             ++obs_blocks_scanned;
-#else
-        (void)skipped;
-#endif
     }
 
     /**
@@ -940,11 +928,9 @@ class Exec
     std::vector<Part>
     scatter(size_t n_morsels, Kernel kernel)
     {
-#ifndef DVP_OBS_DISABLED
         obs_morsels += n_morsels;
         char detail[obs::SpanRecord::kDetailLen];
         std::snprintf(detail, sizeof(detail), "%zu morsels", n_morsels);
-#endif
         DVP_TRACE_SPAN(scatter_span, "scatter", detail);
         std::vector<Exec> lanes = forkLanes();
         std::vector<Part> parts(n_morsels);
@@ -1367,7 +1353,6 @@ class Exec
     }
 };
 
-#ifndef DVP_OBS_DISABLED
 /**
  * One registry flush per query: the runtime-labelled names below cost a
  * mutex + map lookup each, which is noise next to a query's execution
@@ -1389,7 +1374,6 @@ flushQueryMetrics(const Database &db, const Query &q, uint64_t ns,
     reg.counter("dvp_blocks_scanned_total").add(exec.obs_blocks_scanned);
     reg.counter("dvp_blocks_skipped_total").add(exec.obs_blocks_skipped);
 }
-#endif
 
 /** Copy one execution's merged lane counters into @p s. */
 void
@@ -1434,9 +1418,7 @@ Executor::bound(const Query &q, std::shared_ptr<const PhysicalPlan> &keep,
 ResultSet
 Executor::run(const Query &q, QueryStats *stats)
 {
-#ifndef DVP_OBS_DISABLED
     DVP_TRACE_SPAN(query_span, "query", q.name.c_str());
-#endif
     auto t0 = std::chrono::steady_clock::now();
     std::shared_ptr<const PhysicalPlan> keep;
     PhysicalPlan local;
@@ -1451,9 +1433,7 @@ Executor::run(const Query &q, QueryStats *stats)
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
-#ifndef DVP_OBS_DISABLED
     flushQueryMetrics(*db, q, ns, exec);
-#endif
     if (stats != nullptr) {
         fillStats(*stats, exec, rs);
         stats->execNs = ns;
@@ -1498,9 +1478,7 @@ Executor::execute(const PhysicalPlan &plan, const Query &q,
 {
     invariant(plan.epoch == db->epoch(),
               "plan bound against a different database");
-#ifndef DVP_OBS_DISABLED
     DVP_TRACE_SPAN(query_span, "query", q.name.c_str());
-#endif
     auto t0 = std::chrono::steady_clock::now();
     Exec<NullTracer> exec(*db, plan, NullTracer{}, threads_,
                           morsel_rows, vectorized_, delta_,
@@ -1510,9 +1488,7 @@ Executor::execute(const PhysicalPlan &plan, const Query &q,
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
-#ifndef DVP_OBS_DISABLED
     flushQueryMetrics(*db, q, ns, exec);
-#endif
     if (stats != nullptr) {
         fillStats(*stats, exec, rs);
         stats->execNs = ns;

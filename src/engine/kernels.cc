@@ -405,7 +405,6 @@ activeForm()
 void
 countInvocation(PredOp op, bool simd)
 {
-#ifndef DVP_OBS_DISABLED
     // Handles resolved once per (op, form); hot path is one relaxed add.
     struct Handles
     {
@@ -429,10 +428,6 @@ countInvocation(PredOp op, bool simd)
     };
     static Handles h;
     h.c[static_cast<size_t>(op)][simd ? 1 : 0]->add(1);
-#else
-    (void)op;
-    (void)simd;
-#endif
 }
 
 bool
@@ -482,7 +477,6 @@ compressedPathName(CompressedPath path)
 void
 countCompressedEval(CompressedPath path)
 {
-#ifndef DVP_OBS_DISABLED
     struct Handles
     {
         obs::Counter *c[kCompressedPaths];
@@ -499,9 +493,6 @@ countCompressedEval(CompressedPath path)
     };
     static Handles h;
     h.c[static_cast<size_t>(path)]->add(1);
-#else
-    (void)path;
-#endif
 }
 
 namespace

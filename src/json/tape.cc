@@ -241,11 +241,12 @@ countParsedDocs(bool simd_index, bool dom, uint64_t docs, uint64_t bytes,
     if (docs == 0 && bytes == 0 && fallbacks == 0)
         return;
     if (dom) {
-        DVP_COUNTER_ADD("dvp_parse_docs_total{form=\"dom\"}", docs);
+        DVP_COUNTER_ADD("dvp_parsed_docs_total{form=\"dom\"}", docs);
     } else if (simd_index) {
-        DVP_COUNTER_ADD("dvp_parse_docs_total{form=\"tape_avx2\"}", docs);
+        DVP_COUNTER_ADD("dvp_parsed_docs_total{form=\"tape_avx2\"}",
+                        docs);
     } else {
-        DVP_COUNTER_ADD("dvp_parse_docs_total{form=\"tape_scalar\"}",
+        DVP_COUNTER_ADD("dvp_parsed_docs_total{form=\"tape_scalar\"}",
                         docs);
     }
     DVP_COUNTER_ADD("dvp_parse_bytes_total", bytes);

@@ -160,7 +160,7 @@ class TapeParser
 
 /**
  * Count one parsed document (+ its bytes) in the obs registry:
- * dvp_parse_docs_total{form="tape_avx2"|"tape_scalar"|"dom"} and
+ * dvp_parsed_docs_total{form="tape_avx2"|"tape_scalar"|"dom"} and
  * dvp_parse_bytes_total.  @p dom_fallback additionally counts
  * dvp_parse_fallbacks_total.  Static-cached handles; the hot-path
  * cost is two relaxed atomic adds.

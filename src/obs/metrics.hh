@@ -12,11 +12,9 @@
  *    layers (util/thread_pool, util/arena, storage/dictionary) can
  *    instrument themselves without a library-level dependency cycle:
  *    dvp_obs links dvp_util for the exporters, never the reverse.
- *  - Compiling with -DDVP_OBS_DISABLED turns every instrumentation
- *    macro into nothing (no atomic, no registry entry, no branch); the
- *    registry and exporter types stay defined so tooling still builds.
- *    Only the macros are conditional — inline function bodies are
- *    identical in both modes, so mixed translation units are ODR-safe.
+ *  - The registry is the only place a count or level is kept: the
+ *    server's STATS frame and /metrics both render it, so the
+ *    instrumentation is always compiled in.
  *  - reset() zeroes values in place and never invalidates handles:
  *    call sites cache `Counter &` references across resets.
  *
@@ -310,10 +308,8 @@ class Registry
 /*
  * Instrumentation macros.  The static-cached forms resolve the metric
  * name once per call site; use the dvp::obs::Registry API directly for
- * runtime-built (labelled) names, guarded by #ifndef DVP_OBS_DISABLED.
+ * runtime-built (labelled) names.
  */
-#ifndef DVP_OBS_DISABLED
-
 #define DVP_COUNTER_ADD(name, n)                                        \
     do {                                                                \
         static ::dvp::obs::Counter &dvp_obs_c_ =                        \
@@ -350,19 +346,5 @@ class Registry
             ::dvp::obs::Registry::global().histogram(name);             \
         dvp_obs_h_.observe(v);                                          \
     } while (0)
-
-#else // DVP_OBS_DISABLED: every macro compiles to nothing.  Arguments
-      // are referenced inside sizeof (unevaluated, zero code) so
-      // variables that only feed a metric don't warn as unused.
-
-#define DVP_OBS_IGNORE_(expr) (void)sizeof(expr)
-#define DVP_COUNTER_ADD(name, n) DVP_OBS_IGNORE_(n)
-#define DVP_COUNTER_INC(name) do { } while (0)
-#define DVP_GAUGE_SET(name, v) DVP_OBS_IGNORE_(v)
-#define DVP_GAUGE_ADD(name, v) DVP_OBS_IGNORE_(v)
-#define DVP_GAUGE_HIGH(name, v) DVP_OBS_IGNORE_(v)
-#define DVP_HISTOGRAM_OBSERVE(name, v) DVP_OBS_IGNORE_(v)
-
-#endif // DVP_OBS_DISABLED
 
 #endif // DVP_OBS_METRICS_HH

@@ -17,8 +17,6 @@
  * Tracing is off by default: a disabled tracer costs one relaxed
  * atomic load per span site.  Enable with Tracer::global().enable(),
  * the --trace PATH bench/example flag, or the DVP_TRACE env var.
- * Compiling with -DDVP_OBS_DISABLED removes span sites entirely (the
- * DVP_TRACE_SPAN macro expands to nothing).
  *
  * Names and details are truncated into fixed char arrays: recording a
  * span never allocates, so it is safe inside the executor's scan
@@ -167,13 +165,8 @@ class Span
 
 } // namespace dvp::obs
 
-/** Span site: a scoped span named @p var; removed by DVP_OBS_DISABLED. */
-#ifndef DVP_OBS_DISABLED
+/** Span site: a scoped span named @p var. */
 #define DVP_TRACE_SPAN(var, name, detail)                               \
     ::dvp::obs::Span var(name, detail)
-#else
-#define DVP_TRACE_SPAN(var, name, detail)                               \
-    do { } while (0)
-#endif
 
 #endif // DVP_OBS_TRACE_HH

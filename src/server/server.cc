@@ -12,6 +12,7 @@
 #include <poll.h>
 #include <sstream>
 #include <sys/socket.h>
+#include <type_traits>
 #include <unistd.h>
 
 #include "json/parser.hh"
@@ -240,13 +241,6 @@ Server::stop()
     running_.store(false, std::memory_order_release);
 }
 
-ServerStats
-Server::stats() const
-{
-    std::lock_guard<std::mutex> lock(stats_mu);
-    return stats_;
-}
-
 void
 Server::setExecuteHook(std::function<void()> hook)
 {
@@ -366,10 +360,6 @@ Server::acceptOne()
         DVP_COUNTER_INC("dvp_server_connections_total");
         DVP_GAUGE_SET("dvp_server_sessions_active",
                       static_cast<int64_t>(sessions.size()));
-        {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            ++stats_.connections;
-        }
     }
 }
 
@@ -428,10 +418,6 @@ Server::serviceSession(const std::shared_ptr<Session> &s)
         handleFrame(s, f);
 
     if (s->in.error()) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            ++stats_.protocolErrors;
-        }
         DVP_COUNTER_INC("dvp_server_protocol_errors_total");
         s->writeError(net::ErrorCode::Protocol, s->in.errorDetail());
         closeSession(s);
@@ -491,8 +477,6 @@ Server::handleFrame(const std::shared_ptr<Session> &s,
         }
         if (draining_.load(std::memory_order_relaxed)) {
             DVP_COUNTER_INC("dvp_server_rejects_total");
-            std::lock_guard<std::mutex> lock(stats_mu);
-            ++stats_.rejects;
             s->writeError(net::ErrorCode::ShuttingDown,
                           "server is draining");
             return;
@@ -500,10 +484,6 @@ Server::handleFrame(const std::shared_ptr<Session> &s,
         if (inflight_.load(std::memory_order_acquire) >=
             cfg.maxInflight) {
             DVP_COUNTER_INC("dvp_server_rejects_total");
-            {
-                std::lock_guard<std::mutex> lock(stats_mu);
-                ++stats_.rejects;
-            }
             s->writeError(net::ErrorCode::ServerBusy,
                           "admission queue full (max-inflight " +
                               std::to_string(cfg.maxInflight) + ")");
@@ -511,10 +491,6 @@ Server::handleFrame(const std::shared_ptr<Session> &s,
         }
         inflight_.fetch_add(1, std::memory_order_acq_rel);
         DVP_COUNTER_INC("dvp_server_requests_total");
-        {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            ++stats_.requests;
-        }
         {
             std::lock_guard<std::mutex> lock(queue_mu);
             queue.push_back(Task{s, std::move(q.sql), nowNs(),
@@ -554,34 +530,22 @@ Server::handleFrame(const std::shared_ptr<Session> &s,
 net::StatsBody
 Server::buildStats()
 {
-    ServerStats snap = stats();
+    // Every registry counter and gauge, "dvp_" stripped: the same
+    // values /metrics prints, so the two surfaces cannot disagree.
+    // Histograms stay on /metrics.
     net::StatsBody body;
-    body.entries.emplace_back("connections_total", snap.connections);
-    body.entries.emplace_back("requests_total", snap.requests);
-    body.entries.emplace_back("rejects_total", snap.rejects);
-    body.entries.emplace_back("protocol_errors_total",
-                              snap.protocolErrors);
-    body.entries.emplace_back("sessions_active", sessions.size());
+    obs::Registry::global().forEach(
+        [&](const std::string &name, const auto &metric) {
+            using M = std::decay_t<decltype(metric)>;
+            if constexpr (!std::is_same_v<M, obs::Histogram>)
+                if (name.rfind("dvp_", 0) == 0)
+                    body.entries.emplace_back(
+                        name.substr(4),
+                        static_cast<uint64_t>(metric.value()));
+        });
+
+    // What is not a metric: single-owner values read where they live.
     body.entries.emplace_back("inflight", inflight());
-    body.entries.emplace_back(
-        "parse_docs_total",
-        parse_docs_.load(std::memory_order_relaxed));
-    body.entries.emplace_back(
-        "parse_bytes_total",
-        parse_bytes_.load(std::memory_order_relaxed));
-    body.entries.emplace_back(
-        "load_index_ns_total",
-        load_index_ns_.load(std::memory_order_relaxed));
-    body.entries.emplace_back(
-        "load_flatten_ns_total",
-        load_flatten_ns_.load(std::memory_order_relaxed));
-    body.entries.emplace_back(
-        "load_encode_ns_total",
-        load_encode_ns_.load(std::memory_order_relaxed));
-    body.entries.emplace_back(
-        "repartitions_total",
-        engine->adaptation().repartitions.load(
-            std::memory_order_relaxed));
     {
         // One consistent cut: base partitions plus the delta-store
         // prefix visible at this instant.  "docs" counts everything a
@@ -590,9 +554,13 @@ Server::buildStats()
         body.entries.emplace_back("docs",
                                   snap.base->docCount() +
                                       snap.deltaRows);
-        body.entries.emplace_back("delta_rows", snap.deltaRows);
-        body.entries.emplace_back("delta_bytes", snap.delta->bytes());
         body.entries.emplace_back("layout_epoch", snap.epoch);
+    }
+    if (durability::Manager *dur = engine->durability()) {
+        body.entries.emplace_back("wal_appended_lsn",
+                                  dur->wal()->appendedLsn());
+        body.entries.emplace_back("wal_durable_lsn",
+                                  dur->wal()->durableLsn());
     }
 
     // Adaptive-decision audit: ring occupancy plus the most recent
@@ -623,38 +591,6 @@ Server::buildStats()
                                   last.docsCaughtUp);
         body.entries.emplace_back("audit_last_delta_folded",
                                   last.deltaFolded);
-    }
-
-    // Durability: WAL position and checkpoint/recovery counters, only
-    // when the engine runs with a durable data directory.
-    if (durability::Manager *dur = engine->durability()) {
-        const durability::Wal *wal = dur->wal();
-        const durability::ManagerStats &ds = dur->stats();
-        body.entries.emplace_back("wal_appended_lsn",
-                                  wal->appendedLsn());
-        body.entries.emplace_back("wal_durable_lsn", wal->durableLsn());
-        body.entries.emplace_back("wal_bytes_total",
-                                  wal->bytesAppended());
-        body.entries.emplace_back("wal_segments",
-                                  wal->liveSegments().size());
-        body.entries.emplace_back(
-            "checkpoints_total",
-            ds.checkpoints.load(std::memory_order_relaxed));
-        body.entries.emplace_back(
-            "last_checkpoint_lsn",
-            ds.lastCheckpointLsn.load(std::memory_order_relaxed));
-        body.entries.emplace_back(
-            "last_checkpoint_docs",
-            ds.lastCheckpointDocs.load(std::memory_order_relaxed));
-        body.entries.emplace_back(
-            "recovered_docs",
-            ds.recoveredDocs.load(std::memory_order_relaxed));
-        body.entries.emplace_back(
-            "wal_replayed_records",
-            ds.replayedRecords.load(std::memory_order_relaxed));
-        body.entries.emplace_back(
-            "recovery_ms",
-            ds.recoveryMs.load(std::memory_order_relaxed));
     }
     return body;
 }
@@ -812,16 +748,12 @@ Server::executeTask(Task &task)
             DVP_HISTOGRAM_OBSERVE("dvp_parse_duration_ns",
                                   nowNs() - t0);
             did_load = true;
-            parse_docs_.fetch_add(load_stats.docs,
-                                  std::memory_order_relaxed);
-            parse_bytes_.fetch_add(load_stats.bytes,
-                                   std::memory_order_relaxed);
-            load_index_ns_.fetch_add(load_stats.indexNs,
-                                     std::memory_order_relaxed);
-            load_flatten_ns_.fetch_add(load_stats.walkNs,
-                                       std::memory_order_relaxed);
-            load_encode_ns_.fetch_add(load_stats.encodeNs,
-                                      std::memory_order_relaxed);
+            DVP_COUNTER_ADD("dvp_load_stage_ns_total{stage=\"index\"}",
+                            load_stats.indexNs);
+            DVP_COUNTER_ADD("dvp_load_stage_ns_total{stage=\"flatten\"}",
+                            load_stats.walkNs);
+            DVP_COUNTER_ADD("dvp_load_stage_ns_total{stage=\"encode\"}",
+                            load_stats.encodeNs);
             if (!err.empty()) {
                 out.error = "parse error: " + err;
                 return out;

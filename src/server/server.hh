@@ -114,15 +114,6 @@ struct Config
     std::string slowLogPath;
 };
 
-/** Aggregate counters mirrored by the dvp_server_* metrics. */
-struct ServerStats
-{
-    uint64_t connections = 0; ///< sessions ever accepted
-    uint64_t requests = 0;    ///< QUERY frames admitted
-    uint64_t rejects = 0;     ///< QUERY frames rejected (busy/drain)
-    uint64_t protocolErrors = 0;
-};
-
 /** The server.  One instance serves one AdaptiveEngine. */
 class Server
 {
@@ -170,9 +161,6 @@ class Server
     {
         return inflight_.load(std::memory_order_acquire);
     }
-
-    /** Aggregate counters (snapshot). */
-    ServerStats stats() const;
 
     /**
      * Test hook, called by a worker thread after dequeuing a statement
@@ -247,21 +235,6 @@ class Server
     std::atomic<bool> draining_{false};
     std::atomic<bool> stop_requested_{false};
     std::atomic<bool> loop_done_{false};
-
-    mutable std::mutex stats_mu;
-    ServerStats stats_;
-
-    /**
-     * Cumulative LOAD-pipeline counters (STATS: parse_docs_total,
-     * parse_bytes_total, load_*_ns_total).  Written by whichever
-     * worker holds the exclusive statement lock for a LOAD; read
-     * lock-free by the event loop's STATS handler.
-     */
-    std::atomic<uint64_t> parse_docs_{0};
-    std::atomic<uint64_t> parse_bytes_{0};
-    std::atomic<uint64_t> load_index_ns_{0};
-    std::atomic<uint64_t> load_flatten_ns_{0};
-    std::atomic<uint64_t> load_encode_ns_{0};
 
     std::mutex hook_mu;
     std::function<void()> execute_hook;

@@ -63,7 +63,6 @@ Dictionary::operator=(Dictionary &&other) noexcept
 void
 Dictionary::flushObs() const
 {
-#ifndef DVP_OBS_DISABLED
     uint64_t probes =
         pending_probes.exchange(0, std::memory_order_relaxed);
     uint64_t slots =
@@ -74,7 +73,6 @@ Dictionary::flushObs() const
     DVP_COUNTER_ADD("dvp_dict_probe_slots_total", slots);
     DVP_GAUGE_SET("dvp_dict_entries",
                   static_cast<int64_t>(strings.size()));
-#endif
 }
 
 uint64_t
@@ -102,12 +100,8 @@ Dictionary::probe(std::string_view s, uint64_t hash) const
         i = (i + 1) & mask;
         ++slots;
     }
-#ifndef DVP_OBS_DISABLED
     pending_probes.fetch_add(1, std::memory_order_relaxed);
     pending_slots.fetch_add(slots, std::memory_order_relaxed);
-#else
-    (void)slots;
-#endif
     return i;
 }
 

@@ -95,7 +95,6 @@ TEST_F(AnalyzeWorld, StatsFilledAndReconcileWithCounters)
 
     for (const Query &q : templates()) {
         SCOPED_TRACE(q.name);
-#ifndef DVP_OBS_DISABLED
         uint64_t rows0 =
             reg.counter("dvp_rows_scanned_total{layout=\"" + layout +
                         "\"}")
@@ -110,7 +109,6 @@ TEST_F(AnalyzeWorld, StatsFilledAndReconcileWithCounters)
         uint64_t bskip0 =
             reg.counter("dvp_blocks_skipped_total").value();
         uint64_t queries0 = reg.counter("dvp_queries_total").value();
-#endif
 
         QueryStats s;
         ResultSet rs = exec.run(q, &s);
@@ -122,7 +120,6 @@ TEST_F(AnalyzeWorld, StatsFilledAndReconcileWithCounters)
         EXPECT_EQ(s.layoutFingerprint, plain->layoutFingerprint());
         EXPECT_GT(s.execNs, 0u);
 
-#ifndef DVP_OBS_DISABLED
         // ...and reconcile exactly with the Prometheus counter deltas:
         // both views are filled from the same merged lane counters.
         EXPECT_EQ(reg.counter("dvp_rows_scanned_total{layout=\"" +
@@ -145,7 +142,6 @@ TEST_F(AnalyzeWorld, StatsFilledAndReconcileWithCounters)
                   s.blocksSkipped);
         EXPECT_EQ(reg.counter("dvp_queries_total").value() - queries0,
                   1u);
-#endif
     }
 }
 

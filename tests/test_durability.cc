@@ -26,6 +26,7 @@
 #include "json/flatten.hh"
 #include "nobench/generator.hh"
 #include "nobench/queries.hh"
+#include "obs/metrics.hh"
 #include "persist/snapshot.hh"
 #include "sql/run.hh"
 #include "util/fault.hh"
@@ -389,6 +390,13 @@ struct DurableWorld
     }
 };
 
+/** Checkpoints so far in this process (the registry is global). */
+uint64_t
+checkpointCount()
+{
+    return obs::Registry::global().counter("dvp_checkpoints_total").value();
+}
+
 /** Reopen @p dir and rebuild an engine exactly as dvpd boot does. */
 struct RecoveredWorld
 {
@@ -647,18 +655,29 @@ TEST(Manager, CheckpointConcurrentWithQueriesAndIngest)
     adaptive::Params params;
     params.background = true;
     params.adapt = false;
+    uint64_t checkpoints0 = checkpointCount();
     DurableWorld w(300, params);
+
+    // Instantiate before the writer starts: a QuerySet reads the live
+    // catalog, which ingest grows under the DataSet write lock.
+    std::vector<std::vector<engine::Query>> work(3);
+    {
+        nobench::QuerySet qs(w.data, w.cfg);
+        for (int t = 0; t < 3; ++t) {
+            Rng rng(100 + t);
+            for (int i = 0; i < 64; ++i)
+                work[t].push_back(qs.instantiate(
+                    static_cast<int>(rng.below(11)), rng));
+        }
+    }
 
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> executed{0};
     std::vector<std::thread> readers;
     for (int t = 0; t < 3; ++t)
         readers.emplace_back([&, t] {
-            nobench::QuerySet qs(w.data, w.cfg);
-            Rng rng(100 + t);
-            while (!stop.load(std::memory_order_relaxed)) {
-                int idx = static_cast<int>(rng.below(11));
-                w.engine->execute(qs.instantiate(idx, rng));
+            for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+                w.engine->execute(work[t][i % work[t].size()]);
                 executed.fetch_add(1, std::memory_order_relaxed);
             }
         });
@@ -682,7 +701,7 @@ TEST(Manager, CheckpointConcurrentWithQueriesAndIngest)
         th.join();
     writer.join();
     EXPECT_GT(executed.load(), 0u);
-    EXPECT_GE(w.mgr->stats().checkpoints.load(), 6u); // seed + 5
+    EXPECT_GE(checkpointCount() - checkpoints0, 6u); // seed + 5
 }
 
 TEST(Manager, SqlCheckpointStatement)
@@ -701,13 +720,14 @@ TEST(Manager, SqlCheckpointStatement)
         EXPECT_EQ(r.errorKind, sql::RunResult::Error::Unsupported);
     }
 
+    uint64_t checkpoints0 = checkpointCount();
     DurableWorld w(30, params);
     sql::RunResult r = sql::runStatement(*w.engine, "CHECKPOINT;");
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_NE(r.message.find("CHECKPOINT (snapshot-"),
               std::string::npos)
         << r.message;
-    EXPECT_EQ(w.mgr->stats().checkpoints.load(), 2u);
+    EXPECT_EQ(checkpointCount() - checkpoints0, 2u); // seed + SQL
 }
 
 } // namespace

@@ -751,7 +751,7 @@ TEST(TapeObs, ParseCountersReachRegistry)
     std::string lines = nobench::generateJsonLines(cfg, cfg.numDocs);
     auto &reg = obs::Registry::global();
     std::string form_name =
-        std::string("dvp_parse_docs_total{form=\"tape_") +
+        std::string("dvp_parsed_docs_total{form=\"tape_") +
         (json::tapeSimdActive() ? "avx2" : "scalar") + "\"}";
     uint64_t docs_before = reg.counter(form_name).value();
     uint64_t bytes_before = reg.counter("dvp_parse_bytes_total").value();

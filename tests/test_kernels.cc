@@ -642,7 +642,6 @@ TEST(VectorizedExecutor, SimulatedCountersExactlyUnchanged)
 // 4. Observability
 // ---------------------------------------------------------------------
 
-#ifndef DVP_OBS_DISABLED
 TEST(BlockSkipping, ClusteredBetweenSkipsBlocksAndExportsCounters)
 {
     KernelWorld &w = kworld();
@@ -711,7 +710,6 @@ TEST(BlockSkipping, RowsScannedIndependentOfThreadsAndMorsels)
     EXPECT_EQ(scanOnce(4, 64), serial);
     EXPECT_EQ(scanOnce(8, 100), serial); // block-unaligned morsels
 }
-#endif // DVP_OBS_DISABLED
 
 } // namespace
 } // namespace dvp

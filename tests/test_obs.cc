@@ -5,8 +5,7 @@
  * merge determinism, span ring overflow and parent/child nesting,
  * exporter goldens, byte-identical Prometheus dumps for fixed-seed
  * serial runs, and span/AdaptationStats agreement on the adaptive
- * engine.  test_obs_disabled.cc (compiled into this binary with
- * DVP_OBS_DISABLED) verifies the macros are true no-ops there.
+ * engine.
  */
 
 #include <gtest/gtest.h>
@@ -26,12 +25,6 @@
 
 namespace dvp::obs
 {
-
-// Implemented in test_obs_disabled.cc, compiled with DVP_OBS_DISABLED.
-namespace testing
-{
-void recordDisabledMetrics();
-} // namespace testing
 
 namespace
 {
@@ -323,29 +316,8 @@ TEST(Exporters, AsciiSnapshotListsEveryMetric)
 }
 
 // ---------------------------------------------------------------------
-// DVP_OBS_DISABLED (the other translation unit of this binary).
-// ---------------------------------------------------------------------
-
-TEST(Disabled, MacrosRegisterNothing)
-{
-    size_t before = Registry::global().size();
-    uint64_t recorded = Tracer::global().recorded();
-    testing::recordDisabledMetrics();
-    EXPECT_EQ(Registry::global().size(), before);
-    EXPECT_EQ(Tracer::global().recorded(), recorded);
-    EXPECT_FALSE(Registry::global().contains("dvp_test_disabled_total"));
-    EXPECT_FALSE(Registry::global().contains("dvp_test_disabled_gauge"));
-    EXPECT_FALSE(Registry::global().contains("dvp_test_disabled_ns"));
-}
-
-// ---------------------------------------------------------------------
 // Engine integration.
 // ---------------------------------------------------------------------
-
-// The engine-integration tests assert instrumentation that a
-// -DDVP_OBS=OFF build compiles out; everything above (registry,
-// tracer, exporter classes) stays testable in both modes.
-#ifndef DVP_OBS_DISABLED
 
 struct ObsWorld
 {
@@ -482,15 +454,12 @@ TEST(AdaptiveObs, SpansRecoverRepartitionCountAndDuration)
     tracer.clear();
 }
 
-#endif // DVP_OBS_DISABLED
 
 TEST(DumpScope, WritesMetricsAndTraceFiles)
 {
     std::string dir = ::testing::TempDir();
     std::string mpath = dir + "/obs_metrics.prom";
     std::string tpath = dir + "/obs_trace.ndjson";
-    // Direct registry API (not the macros) so this holds under
-    // DVP_OBS_DISABLED builds too.
     Registry::global().counter("dvp_test_dumpscope_total").add(1);
     {
         DumpScope scope(mpath, tpath);

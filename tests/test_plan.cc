@@ -309,10 +309,8 @@ TEST(PlanAdaptive, SwapInvalidatesPlansAndRetainsKnobs)
     EXPECT_GT(eng.planCache().stats().hits, 0u);
 
     uint64_t epoch_before = eng.snapshot()->epoch();
-#ifndef DVP_OBS_DISABLED
     uint64_t morsels_before =
         obs::Registry::global().counter("dvp_morsels_total").value();
-#endif
 
     // Shifted phase: the synchronous repartition swaps the database.
     for (int i = 0; i < 120; ++i)
@@ -330,12 +328,10 @@ TEST(PlanAdaptive, SwapInvalidatesPlansAndRetainsKnobs)
     // the parallel path.
     EXPECT_EQ(eng.threads(), 2u);
     EXPECT_EQ(eng.morselRows(), 64u);
-#ifndef DVP_OBS_DISABLED
     EXPECT_GT(obs::Registry::global()
                   .counter("dvp_morsels_total")
                   .value(),
               morsels_before);
-#endif
 
     // And post-swap cached results are still correct.
     Query probe = qs.instantiateShifted(nobench::kQ6, rng);
@@ -376,7 +372,6 @@ TEST_F(PlanWorld, ExplainReportsCacheProvenance)
     EXPECT_NE(hit.find("FilterScan"), std::string::npos);
 }
 
-#ifndef DVP_OBS_DISABLED
 TEST_F(PlanWorld, PlanCacheCountersAreExported)
 {
     // Touch all three paths so the counters exist...
@@ -400,7 +395,6 @@ TEST_F(PlanWorld, PlanCacheCountersAreExported)
               std::string::npos);
     EXPECT_NE(text.find("dvp_plan_binds_total"), std::string::npos);
 }
-#endif
 
 } // namespace
 } // namespace dvp::engine

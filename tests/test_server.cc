@@ -23,7 +23,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -346,11 +349,23 @@ nobench::Config ServerWorld::cfg;
 engine::DataSet *ServerWorld::data = nullptr;
 nobench::QuerySet *ServerWorld::qs = nullptr;
 
+/**
+ * Current value of a registry counter.  The registry is process-wide,
+ * so server tests assert before/after deltas, never absolute values.
+ */
+uint64_t
+counterValue(const char *name)
+{
+    return obs::Registry::global().counter(name).value();
+}
+
 TEST_F(ServerWorld, HandshakeQueryAndStats)
 {
     World w;
     server::Server srv(*w.engine, {});
     ASSERT_EQ(srv.start(), "");
+    uint64_t conns0 = counterValue("dvp_server_connections_total");
+    uint64_t reqs0 = counterValue("dvp_server_requests_total");
 
     client::Client c;
     ASSERT_EQ(c.connect("127.0.0.1", srv.port(), "unit"), "");
@@ -381,8 +396,8 @@ TEST_F(ServerWorld, HandshakeQueryAndStats)
     // STATS reflects the session.
     client::Stats st = c.stats();
     ASSERT_TRUE(st.ok) << st.error;
-    EXPECT_EQ(st.get("connections_total"), 1u);
-    EXPECT_GE(st.get("requests_total"), 2u);
+    EXPECT_EQ(st.get("server_connections_total"), conns0 + 1);
+    EXPECT_EQ(st.get("server_requests_total"), reqs0 + 2);
     EXPECT_EQ(st.get("docs"), w.data.docs.size());
 
     // Parse errors are typed, and the connection survives them.
@@ -394,9 +409,8 @@ TEST_F(ServerWorld, HandshakeQueryAndStats)
 
     c.close();
     srv.stop();
-    server::ServerStats s = srv.stats();
-    EXPECT_EQ(s.connections, 1u);
-    EXPECT_GE(s.requests, 3u);
+    EXPECT_EQ(counterValue("dvp_server_connections_total"), conns0 + 1);
+    EXPECT_EQ(counterValue("dvp_server_requests_total"), reqs0 + 4);
 }
 
 TEST_F(ServerWorld, QueryBeforeHelloIsAProtocolError)
@@ -441,6 +455,7 @@ TEST_F(ServerWorld, GarbageBytesGetTypedProtocolError)
     World w;
     server::Server srv(*w.engine, {});
     ASSERT_EQ(srv.start(), "");
+    uint64_t errors0 = counterValue("dvp_server_protocol_errors_total");
 
     std::string err;
     int fd = net::connectTcp("127.0.0.1", srv.port(), 2000, &err);
@@ -466,7 +481,8 @@ TEST_F(ServerWorld, GarbageBytesGetTypedProtocolError)
     }
     net::closeFd(fd);
     srv.stop();
-    EXPECT_GE(srv.stats().protocolErrors, 1u);
+    EXPECT_EQ(counterValue("dvp_server_protocol_errors_total"),
+              errors0 + 1);
 }
 
 TEST_F(ServerWorld, ConcurrentClientsMatchInProcessDigests)
@@ -476,6 +492,8 @@ TEST_F(ServerWorld, ConcurrentClientsMatchInProcessDigests)
     scfg.workers = 3;
     server::Server srv(*w.engine, scfg);
     ASSERT_EQ(srv.start(), "");
+    uint64_t conns0 = counterValue("dvp_server_connections_total");
+    uint64_t reqs0 = counterValue("dvp_server_requests_total");
 
     // In-process reference digests through the exact same dispatch.
     std::vector<uint64_t> expect_digest, expect_checksum, expect_rows;
@@ -520,11 +538,10 @@ TEST_F(ServerWorld, ConcurrentClientsMatchInProcessDigests)
         th.join();
     EXPECT_EQ(failures.load(), 0);
     srv.stop();
-    EXPECT_EQ(srv.stats().connections,
-              static_cast<uint64_t>(kClients));
-    EXPECT_GE(srv.stats().requests,
-              static_cast<uint64_t>(kClients * kRounds *
-                                    queryMix().size()));
+    EXPECT_EQ(counterValue("dvp_server_connections_total"),
+              conns0 + kClients);
+    EXPECT_EQ(counterValue("dvp_server_requests_total"),
+              reqs0 + kClients * kRounds * queryMix().size());
 }
 
 TEST_F(ServerWorld, DigestsStableWhileRepartitionSwapsUnderneath)
@@ -622,6 +639,7 @@ TEST_F(ServerWorld, BackpressureRejectsAreTypedAndRecoverable)
         cv.wait(lock, [&] { return release; });
     });
     ASSERT_EQ(srv.start(), "");
+    uint64_t rejects0 = counterValue("dvp_server_rejects_total");
 
     client::Client a, b;
     ASSERT_EQ(a.connect("127.0.0.1", srv.port(), "a"), "");
@@ -656,16 +674,20 @@ TEST_F(ServerWorld, BackpressureRejectsAreTypedAndRecoverable)
     // response, so a prompt follow-up can still catch the busy window;
     // SERVER_BUSY is typed precisely so clients can retry it.
     client::Result again = b.query("SELECT str1, num FROM t");
+    uint64_t retried = 0;
     for (int i = 0; i < 50 && !again.ok && again.busy(); ++i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         again = b.query("SELECT str1, num FROM t");
+        ++retried;
     }
     EXPECT_TRUE(again.ok) << again.error;
 
     a.close();
     b.close();
     srv.stop();
-    EXPECT_GE(srv.stats().rejects, 1u);
+    // The pinned rejection plus one per busy retry above.
+    EXPECT_EQ(counterValue("dvp_server_rejects_total"),
+              rejects0 + 1 + retried);
 }
 
 TEST_F(ServerWorld, GracefulDrainDeliversInflightAndRefusesNew)
@@ -942,6 +964,152 @@ TEST_F(ServerWorld, StatsExposeAdaptiveAuditTrail)
               w.engine->snapshot()->layoutFingerprint());
     EXPECT_EQ(st.get("layout_epoch"), w.engine->snapshot()->epoch());
 
+    c.close();
+    srv.stop();
+}
+
+// ---------------------------------------------------------------------
+// STATS is a snapshot of the metrics registry.
+// ---------------------------------------------------------------------
+
+/** Counter and gauge samples of a Prometheus dump, by full name. */
+std::map<std::string, std::string>
+promScalars(const std::string &text)
+{
+    std::map<std::string, std::string> out;
+    std::istringstream in(text);
+    std::string line;
+    bool scalar = false;
+    while (std::getline(in, line)) {
+        if (line.rfind("# TYPE ", 0) == 0) {
+            scalar = line.substr(line.rfind(' ') + 1) != "histogram";
+            continue;
+        }
+        size_t sp = line.rfind(' ');
+        if (scalar && sp != std::string::npos)
+            out[line.substr(0, sp)] = line.substr(sp + 1);
+    }
+    return out;
+}
+
+TEST_F(ServerWorld, StatsReconcileWithTheRegistry)
+{
+    // A fixed mix on one server: three clients that each get
+    // kPerClient statements admitted, one SERVER_BUSY forced by a
+    // pinned statement, and one garbage connection.
+    constexpr uint64_t kPerClient = 2;
+    World w;
+    server::Config scfg;
+    scfg.workers = 1;
+    scfg.maxInflight = 1;
+    server::Server srv(*w.engine, scfg);
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false, release = false;
+    srv.setExecuteHook([&] {
+        std::unique_lock<std::mutex> lock(mu);
+        entered = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+    });
+    ASSERT_EQ(srv.start(), "");
+    uint64_t conns0 = counterValue("dvp_server_connections_total");
+    uint64_t reqs0 = counterValue("dvp_server_requests_total");
+    uint64_t rejects0 = counterValue("dvp_server_rejects_total");
+    uint64_t errors0 = counterValue("dvp_server_protocol_errors_total");
+
+    client::Client a, b, c;
+    ASSERT_EQ(a.connect("127.0.0.1", srv.port(), "a"), "");
+    ASSERT_EQ(b.connect("127.0.0.1", srv.port(), "b"), "");
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port(), "c"), "");
+
+    // Every QUERY is either admitted or rejected as SERVER_BUSY.
+    std::atomic<uint64_t> admitted{0}, busy{0};
+    auto ask = [&](client::Client &cl) {
+        client::Result r = cl.query("SELECT str1, num FROM t");
+        EXPECT_TRUE(r.ok || r.busy()) << r.error;
+        ++(r.busy() ? busy : admitted);
+        return r.busy();
+    };
+    // Admit @p n statements, retrying the busy window that follows a
+    // response (the slot frees just after the reply is written).
+    auto admit = [&](client::Client &cl, uint64_t n) {
+        for (int tries = 0; n > 0 && tries < 200; ++tries) {
+            if (ask(cl))
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            else
+                --n;
+        }
+        EXPECT_EQ(n, 0u);
+    };
+
+    std::thread slow([&] { admit(a, 1); });
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return entered; });
+    }
+    EXPECT_TRUE(ask(b)); // past the watermark
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        release = true;
+    }
+    cv.notify_all();
+    slow.join();
+    srv.setExecuteHook({});
+    admit(a, kPerClient - 1);
+    admit(b, kPerClient);
+    admit(c, kPerClient);
+
+    std::string err;
+    int fd = net::connectTcp("127.0.0.1", srv.port(), 2000, &err);
+    ASSERT_GE(fd, 0) << err;
+    std::string junk = "this is not a frame";
+    ASSERT_TRUE(net::sendAll(fd, junk.data(), junk.size()));
+    char buf[4096];
+    while (net::recvSome(fd, buf, sizeof(buf)) > 0) {
+    } // the server answers with an ERROR frame and hangs up
+    net::closeFd(fd);
+
+    // Quiesce: the worker's last bookkeeping precedes the inflight
+    // release, so nothing moves the registry after this.
+    for (int i = 0; i < 500 && srv.inflight() != 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_EQ(srv.inflight(), 0u);
+
+    client::Stats st = a.stats();
+    ASSERT_TRUE(st.ok) << st.error;
+    std::map<std::string, std::string> prom =
+        promScalars(obs::exportPrometheus(obs::Registry::global()));
+
+    EXPECT_EQ(admitted.load(), 3 * kPerClient);
+    EXPECT_EQ(st.get("server_connections_total"), conns0 + 4);
+    EXPECT_EQ(st.get("server_requests_total"), reqs0 + admitted.load());
+    EXPECT_EQ(st.get("server_rejects_total"), rejects0 + busy.load());
+    EXPECT_EQ(st.get("server_protocol_errors_total"), errors0 + 1);
+    EXPECT_EQ(st.get("server_sessions_active"), 3u);
+    EXPECT_EQ(st.get("inflight"), 0u);
+    EXPECT_EQ(st.get("docs"), w.data.docs.size());
+
+    // Every key but the hand-listed ones is a registry counter or
+    // gauge with "dvp_" stripped and the value /metrics prints, and
+    // every registry counter and gauge is there.
+    size_t from_registry = 0;
+    for (const auto &[key, value] : st.entries) {
+        if (key == "inflight" || key == "docs" || key == "layout_epoch" ||
+            key.rfind("audit_", 0) == 0)
+            continue;
+        ++from_registry;
+        auto it = prom.find("dvp_" + key);
+        ASSERT_NE(it, prom.end()) << key;
+        EXPECT_EQ(it->second, std::to_string(value)) << key;
+    }
+    size_t dvp_scalars = 0;
+    for (const auto &[name, value] : prom)
+        dvp_scalars += name.rfind("dvp_", 0) == 0;
+    EXPECT_EQ(from_registry, dvp_scalars);
+
+    a.close();
+    b.close();
     c.close();
     srv.stop();
 }
