@@ -145,6 +145,27 @@ grep -q "requests_total" "$OBS_TMP/client.out"
 kill -TERM "$DVPD_PID"
 wait "$DVPD_PID"
 grep -q "drained" "$OBS_TMP/dvpd.log"
+# An oversized result is a typed error, and the server keeps serving:
+# 50250 docs is the smallest --gen (in steps of 250) whose SELECT *
+# payload passes the 64 MiB frame cap.
+./build-ci/examples/dvpd --gen 50250 --port 0 \
+    --port-file "$OBS_TMP/dvpd_big.port" > "$OBS_TMP/dvpd_big.log" 2>&1 &
+DVPD_PID=$!
+for _ in $(seq 600); do
+    [ -s "$OBS_TMP/dvpd_big.port" ] && break
+    sleep 0.1
+done
+DVPD_PORT="$(cat "$OBS_TMP/dvpd_big.port")"
+if ./build-ci/examples/dvp_client --port "$DVPD_PORT" "SELECT * FROM t" \
+    > /dev/null 2> "$OBS_TMP/too_large.err"; then
+    echo "dvpd sent a SELECT * past the frame payload cap" >&2; exit 1
+fi
+grep -q "RESULT_TOO_LARGE" "$OBS_TMP/too_large.err"
+./build-ci/examples/dvp_client --port "$DVPD_PORT" \
+    "SELECT * FROM t WHERE str1 = 'str1_17'" > "$OBS_TMP/after_big.out"
+grep -q "row(s), digest" "$OBS_TMP/after_big.out"
+kill -TERM "$DVPD_PID"
+wait "$DVPD_PID"
 ./build-ci/bench/bench_server_throughput --docs 2000 --duration 2 \
     --connections 4 --json "$OBS_TMP/server.ndjson" > /dev/null
 python3 - "$OBS_TMP" <<'EOF'

@@ -1,6 +1,8 @@
 #include "engine/query.hh"
 
 #include <algorithm>
+#include <array>
+#include <numeric>
 #include <set>
 
 #include "util/logging.hh"
@@ -61,13 +63,58 @@ resultCellDigest(AttrId attr, Slot s)
 namespace
 {
 
-/** Canonical copy: rows sorted lexicographically. */
-std::vector<std::vector<Slot>>
-canonical(const ResultSet &rs)
+/**
+ * Row indices of @p rs in canonical (lexicographic) order; no row is
+ * copied.  An LSD radix sort orders the rows by their first cell, then
+ * each run of equal first cells is sorted by the full row comparison.
+ * Equal rows are identical, so the order among them changes neither
+ * the digest nor equality.
+ */
+std::vector<uint32_t>
+canonicalOrder(const ResultSet &rs)
 {
-    std::vector<std::vector<Slot>> rows = rs.rows;
-    std::sort(rows.begin(), rows.end());
-    return rows;
+    const auto &rows = rs.rows;
+    const size_t n = rows.size();
+    // Key: the first cell with its sign bit flipped, so unsigned order
+    // is Slot order.  An empty row gets the smallest key; the tie sort
+    // puts it before the rows sharing that key.
+    struct Keyed
+    {
+        uint64_t key;
+        uint32_t row;
+    };
+    std::vector<Keyed> a(n), b(n);
+    for (uint32_t i = 0; i < n; ++i) {
+        uint64_t key = rows[i].empty()
+                           ? 0
+                           : static_cast<uint64_t>(rows[i][0]) ^
+                                 (uint64_t{1} << 63);
+        a[i] = {key, i};
+    }
+    for (int shift = 0; shift < 64; shift += 8) {
+        std::array<size_t, 257> count{};
+        for (const Keyed &k : a)
+            ++count[((k.key >> shift) & 0xFF) + 1];
+        if (std::ranges::find(count, n) != count.end())
+            continue; // every key shares this byte: the pass is a no-op
+        std::partial_sum(count.begin(), count.end(), count.begin());
+        for (const Keyed &k : a)
+            b[count[(k.key >> shift) & 0xFF]++] = k;
+        a.swap(b);
+    }
+    std::vector<uint32_t> order(n);
+    for (size_t lo = 0; lo < n;) {
+        size_t hi = lo + 1;
+        while (hi < n && a[hi].key == a[lo].key)
+            ++hi;
+        std::sort(a.begin() + lo, a.begin() + hi,
+                  [&rows](const Keyed &x, const Keyed &y) {
+                      return rows[x.row] < rows[y.row];
+                  });
+        for (; lo < hi; ++lo)
+            order[lo] = a[lo].row;
+    }
+    return order;
 }
 
 } // namespace
@@ -75,7 +122,14 @@ canonical(const ResultSet &rs)
 bool
 ResultSet::equals(const ResultSet &other) const
 {
-    return canonical(*this) == canonical(other);
+    if (rows.size() != other.rows.size())
+        return false;
+    std::vector<uint32_t> mine = canonicalOrder(*this);
+    std::vector<uint32_t> theirs = canonicalOrder(other);
+    for (size_t k = 0; k < mine.size(); ++k)
+        if (rows[mine[k]] != other.rows[theirs[k]])
+            return false;
+    return true;
 }
 
 uint64_t
@@ -88,9 +142,9 @@ ResultSet::digest() const
             h *= 0x100000001b3ULL;
         }
     };
-    for (const auto &row : canonical(*this)) {
+    for (uint32_t i : canonicalOrder(*this)) {
         mix(0x9e3779b97f4a7c15ULL); // row separator
-        for (Slot s : row)
+        for (Slot s : rows[i])
             mix(static_cast<uint64_t>(s));
     }
     return h;

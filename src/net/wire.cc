@@ -6,22 +6,34 @@ namespace dvp::net
 namespace
 {
 
-/** CRC-32 lookup table (reflected 0xEDB88320), built once. */
-const uint32_t *
-crcTable()
+/**
+ * Slicing-by-8 tables for the reflected 0xEDB88320 polynomial, built
+ * once.  t[0] is the classic bytewise table; t[k][b] is the CRC of
+ * byte b followed by k zero bytes, so one step can fold eight bytes.
+ */
+struct CrcTables
 {
-    static uint32_t table[256];
-    static bool init = [] {
+    uint32_t t[8][256];
+};
+
+const CrcTables &
+crcTables()
+{
+    static const CrcTables tables = [] {
+        CrcTables x{};
         for (uint32_t i = 0; i < 256; ++i) {
             uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            table[i] = c;
+            x.t[0][i] = c;
         }
-        return true;
+        for (uint32_t i = 0; i < 256; ++i)
+            for (int k = 1; k < 8; ++k)
+                x.t[k][i] = (x.t[k - 1][i] >> 8) ^
+                            x.t[0][x.t[k - 1][i] & 0xFF];
+        return x;
     }();
-    (void)init;
-    return table;
+    return tables;
 }
 
 } // namespace
@@ -29,11 +41,22 @@ crcTable()
 uint32_t
 crc32(const void *data, size_t n)
 {
-    const uint32_t *table = crcTable();
+    const auto &t = crcTables().t;
     const auto *p = static_cast<const unsigned char *>(data);
     uint32_t c = 0xFFFFFFFFu;
-    for (size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        // Little-endian hosts only (matches the rest of the tree).
+        uint32_t lo, hi;
+        std::memcpy(&lo, p, 4);
+        std::memcpy(&hi, p + 4, 4);
+        lo ^= c;
+        c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+            t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+            t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -41,13 +64,15 @@ std::string
 encodeFrame(FrameType type, const std::string &payload)
 {
     Writer w;
+    w.reserve(kHeaderBytes + payload.size());
     w.u16(kMagic);
     w.u8(kWireVersion);
     w.u8(static_cast<uint8_t>(type));
     w.u32(static_cast<uint32_t>(payload.size()));
     w.u32(crc32(payload.data(), payload.size()));
     w.u32(0); // reserved
-    return w.bytes() + payload;
+    w.append(payload);
+    return w.take();
 }
 
 void
@@ -241,49 +266,61 @@ decodeError(const std::string &payload, ErrorBody &out)
     return r.exhausted();
 }
 
-std::string
-encodeResult(const ResultBody &b, uint32_t level)
+ResultWriter::ResultWriter(const ResultBody &head, uint32_t nrows)
+    : head(head)
 {
-    Writer w;
-    w.u8(static_cast<uint8_t>(b.kind));
-    w.str(b.message);
-    w.u32(static_cast<uint32_t>(b.columns.size()));
-    for (const auto &c : b.columns)
+    w.u8(static_cast<uint8_t>(head.kind));
+    w.str(head.message);
+    w.u32(static_cast<uint32_t>(head.columns.size()));
+    for (const auto &c : head.columns)
         w.str(c);
-    w.u32(static_cast<uint32_t>(b.oids.size()));
-    for (int64_t oid : b.oids)
+    w.u32(static_cast<uint32_t>(head.oids.size()));
+    for (int64_t oid : head.oids)
         w.i64(oid);
-    w.u32(static_cast<uint32_t>(b.rows.size()));
-    for (const auto &row : b.rows) {
-        w.u32(static_cast<uint32_t>(row.size()));
-        for (const Cell &c : row) {
-            w.u8(static_cast<uint8_t>(c.kind));
-            if (c.kind == Cell::Kind::Int)
-                w.i64(c.i);
-            else if (c.kind == Cell::Kind::Str)
-                w.str(c.s);
-        }
-    }
-    w.u64(b.digest);
-    w.u64(b.checksum);
-    w.u64(b.execNs);
+    w.u32(nrows);
+}
+
+std::string
+ResultWriter::finish(uint64_t digest, uint32_t level)
+{
+    w.u64(digest);
+    w.u64(head.checksum);
+    w.u64(head.execNs);
     if (level >= kFeatureTrace) {
-        if (b.hasTraceId) {
+        if (head.hasTraceId) {
             Writer v;
-            v.u64(b.traceId);
+            v.u64(head.traceId);
             putTlv(w, kExtTraceId, v.bytes());
         }
-        if (!b.opStats.empty()) {
+        if (!head.opStats.empty()) {
             Writer v;
-            v.u32(static_cast<uint32_t>(b.opStats.size()));
-            for (const auto &[key, value] : b.opStats) {
+            v.u32(static_cast<uint32_t>(head.opStats.size()));
+            for (const auto &[key, value] : head.opStats) {
                 v.str(key);
                 v.u64(value);
             }
             putTlv(w, kExtOpStats, v.bytes());
         }
     }
-    return w.bytes();
+    return w.take();
+}
+
+std::string
+encodeResult(const ResultBody &b, uint32_t level)
+{
+    ResultWriter w(b, static_cast<uint32_t>(b.rows.size()));
+    for (const auto &row : b.rows) {
+        w.row(static_cast<uint32_t>(row.size()));
+        for (const Cell &c : row) {
+            if (c.kind == Cell::Kind::Int)
+                w.integer(c.i);
+            else if (c.kind == Cell::Kind::Str)
+                w.text(c.s);
+            else
+                w.null();
+        }
+    }
+    return w.finish(b.digest, level);
 }
 
 bool
@@ -415,6 +452,7 @@ errorCodeName(ErrorCode c)
       case ErrorCode::Protocol: return "PROTOCOL_ERROR";
       case ErrorCode::Unsupported: return "UNSUPPORTED";
       case ErrorCode::ReadOnly: return "READ_ONLY";
+      case ErrorCode::ResultTooLarge: return "RESULT_TOO_LARGE";
     }
     return "?";
 }

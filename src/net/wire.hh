@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dvp::net
@@ -99,9 +100,14 @@ enum class ErrorCode : uint16_t
     Protocol = 5,     ///< malformed frame or out-of-order exchange
     Unsupported = 6,  ///< statement kind the server refuses (e.g. LOAD)
     ReadOnly = 7,     ///< writes (INSERT) disabled on this server
+    ResultTooLarge = 8, ///< RESULT payload would pass kMaxPayload
 };
 
-/** CRC-32 (IEEE 802.3 polynomial, reflected) of @p n bytes. */
+/**
+ * CRC-32 (IEEE 802.3 polynomial, reflected) of @p n bytes, computed
+ * slicing-by-8: eight table lookups fold eight input bytes per step.
+ * Frames, WAL records, snapshots and the manifest all share it.
+ */
 uint32_t crc32(const void *data, size_t n);
 
 /** Append-only payload encoder (little-endian). */
@@ -121,13 +127,22 @@ class Writer
 
     /** u32 byte length + raw bytes. */
     void
-    str(const std::string &s)
+    str(std::string_view s)
     {
         u32(static_cast<uint32_t>(s.size()));
         buf.append(s);
     }
 
+    /** Raw bytes, no length prefix. */
+    void append(std::string_view s) { buf.append(s); }
+
+    void reserve(size_t n) { buf.reserve(n); }
+
     const std::string &bytes() const { return buf; }
+    size_t size() const { return buf.size(); }
+
+    /** Move the encoded bytes out (the writer is left empty). */
+    std::string take() { return std::move(buf); }
 
   private:
     void
@@ -367,6 +382,48 @@ bool decodeQuery(const std::string &payload, QueryBody &out);
 
 std::string encodeError(const ErrorBody &b);
 bool decodeError(const std::string &payload, ErrorBody &out);
+
+/**
+ * The one writer of RESULT payload bytes.  The constructor writes the
+ * head (kind, message, columns, oids, then the row count); each row is
+ * then row(ncells) followed by exactly ncells cell calls; finish()
+ * appends the trailer (digest, checksum, execNs, and at kFeatureTrace
+ * the TLVs) and returns the payload.  encodeResult() feeds it decoded
+ * cells; the server feeds it result slots directly, so neither side
+ * builds a per-cell object on the way out.  @p head must outlive the
+ * writer; its digest is not read (finish() takes it).
+ */
+class ResultWriter
+{
+  public:
+    ResultWriter(const ResultBody &head, uint32_t nrows);
+
+    void row(uint32_t ncells) { w.u32(ncells); }
+    void null() { w.u8(static_cast<uint8_t>(Cell::Kind::Null)); }
+
+    void
+    integer(int64_t v)
+    {
+        w.u8(static_cast<uint8_t>(Cell::Kind::Int));
+        w.i64(v);
+    }
+
+    void
+    text(std::string_view s)
+    {
+        w.u8(static_cast<uint8_t>(Cell::Kind::Str));
+        w.str(s);
+    }
+
+    /** Payload bytes written so far. */
+    size_t size() const { return w.size(); }
+
+    std::string finish(uint64_t digest, uint32_t level);
+
+  private:
+    const ResultBody &head;
+    Writer w;
+};
 
 std::string encodeResult(const ResultBody &b,
                          uint32_t level = kFeatureBase);

@@ -68,22 +68,6 @@ looksLikeLoad(const std::string &sql)
     return true;
 }
 
-net::Cell
-slotToCell(const engine::DataSet &data, storage::Slot s)
-{
-    net::Cell c;
-    if (storage::isNull(s)) {
-        c.kind = net::Cell::Kind::Null;
-    } else if (storage::isStringSlot(s)) {
-        c.kind = net::Cell::Kind::Str;
-        c.s = data.dict.text(storage::decodeString(s));
-    } else {
-        c.kind = net::Cell::Kind::Int;
-        c.i = s;
-    }
-    return c;
-}
-
 /** The process-wide signal target (see installSignalHandlers). */
 std::atomic<Server *> g_signal_target{nullptr};
 
@@ -116,18 +100,24 @@ struct Server::Session
 
     ~Session() { net::closeFd(fd); }
 
+    /** Send one complete frame (header + payload). */
     bool
-    writeFrame(net::FrameType type, const std::string &payload)
+    send(const std::string &frame)
     {
         std::lock_guard<std::mutex> lock(write_mu);
         if (dead.load(std::memory_order_relaxed))
             return false;
-        std::string frame = net::encodeFrame(type, payload);
         if (!net::sendAll(fd, frame.data(), frame.size())) {
             dead.store(true, std::memory_order_relaxed);
             return false;
         }
         return true;
+    }
+
+    bool
+    writeFrame(net::FrameType type, const std::string &payload)
+    {
+        return send(net::encodeFrame(type, payload));
     }
 
     bool
@@ -137,6 +127,37 @@ struct Server::Session
         return writeFrame(net::FrameType::Error, net::encodeError(e));
     }
 };
+
+bool
+encodeRowResult(const net::ResultBody &meta, const engine::ResultSet &rs,
+                const engine::DataSet &data, uint32_t level,
+                size_t maxBytes, std::string &out)
+{
+    // Every row costs at least its u32 cell count, so this also keeps
+    // the row count inside the u32 the head carries.
+    if (rs.rows.size() > maxBytes / 4)
+        return false;
+    net::ResultWriter w(meta, static_cast<uint32_t>(rs.rows.size()));
+    {
+        // A concurrent INSERT or LOAD grows the dictionary.
+        auto lock = data.readLock();
+        for (const auto &row : rs.rows) {
+            w.row(static_cast<uint32_t>(row.size()));
+            for (storage::Slot s : row) {
+                if (storage::isNull(s))
+                    w.null();
+                else if (storage::isStringSlot(s))
+                    w.text(data.dict.text(storage::decodeString(s)));
+                else
+                    w.integer(s);
+            }
+            if (w.size() > maxBytes)
+                return false;
+        }
+    }
+    out = w.finish(rs.digest(), level);
+    return out.size() <= maxBytes;
+}
 
 Server::Server(adaptive::AdaptiveEngine &engine, Config cfg)
     : engine(&engine), cfg(std::move(cfg))
@@ -798,6 +819,11 @@ Server::executeTask(Task &task)
         }
     }
 
+    // Encode stage: digest + row encode + frame build, for errors too,
+    // so every answered statement observes each stage exactly once.
+    uint64_t t_encode = nowNs();
+    net::FrameType type = net::FrameType::Result;
+    std::string payload;
     if (!r.ok) {
         net::ErrorCode code = net::ErrorCode::Exec;
         if (r.errorKind == sql::RunResult::Error::Parse)
@@ -806,15 +832,24 @@ Server::executeTask(Task &task)
             code = net::ErrorCode::Unsupported;
         else if (r.errorKind == sql::RunResult::Error::ReadOnly)
             code = net::ErrorCode::ReadOnly;
-        task.session->writeError(code, r.error);
+        type = net::FrameType::Error;
+        payload = net::encodeError({code, r.error});
     } else {
         net::ResultBody body;
+        body.execNs = static_cast<uint64_t>(r.seconds * 1e9);
+        // Level-2 extras: echo the trace id and ship the per-operator
+        // summary.  The ResultWriter drops both on level-1 sessions, so
+        // a pre-TLV client still decodes the frame unchanged.
+        body.hasTraceId = task.hasTraceId;
+        body.traceId = task.traceId;
+        if (r.hasStats)
+            body.opStats = r.stats.summary();
         if (r.kind == sql::RunResult::Kind::Message) {
             body.kind = net::ResultBody::Kind::Message;
             body.message = r.message;
+            payload = encodeResult(body, task.session->featureLevel);
         } else {
             const engine::DataSet &data = engine->snapshot()->data();
-            body.kind = net::ResultBody::Kind::Rows;
             {
                 // Catalog names can reallocate under concurrent
                 // ingest; resolve headers under the read lock.
@@ -822,40 +857,33 @@ Server::executeTask(Task &task)
                 body.columns = sql::resultColumns(data, r.query);
             }
             body.oids = r.rows.oids;
-            body.rows.reserve(r.rows.rows.size());
-            {
-                // DataSet read lock while decoding string ids: a
-                // concurrent INSERT or LOAD grows the dictionary.
-                auto lock = data.readLock();
-                for (const auto &row : r.rows.rows) {
-                    std::vector<net::Cell> cells;
-                    cells.reserve(row.size());
-                    for (storage::Slot slot : row)
-                        cells.push_back(slotToCell(data, slot));
-                    body.rows.push_back(std::move(cells));
-                }
-            }
-            body.digest = r.rows.digest();
             body.checksum = r.rows.checksum;
+            if (!encodeRowResult(body, r.rows, data,
+                                 task.session->featureLevel,
+                                 net::kMaxPayload, payload)) {
+                type = net::FrameType::Error;
+                payload = net::encodeError(
+                    {net::ErrorCode::ResultTooLarge,
+                     "result exceeds the " +
+                         std::to_string(net::kMaxPayload) +
+                         "-byte frame payload limit (" +
+                         std::to_string(r.rows.rowCount()) + " rows)"});
+            }
         }
-        body.execNs = static_cast<uint64_t>(r.seconds * 1e9);
-        // Level-2 extras: echo the trace id and ship the per-operator
-        // summary.  encodeResult drops both on level-1 sessions, so a
-        // pre-TLV client still decodes the frame unchanged.
-        body.hasTraceId = task.hasTraceId;
-        body.traceId = task.traceId;
-        if (r.hasStats)
-            body.opStats = r.stats.summary();
-        task.session->writeFrame(
-            net::FrameType::Result,
-            encodeResult(body, task.session->featureLevel));
+    }
+    std::string frame = net::encodeFrame(type, payload);
+    uint64_t t_send = nowNs();
+    DVP_HISTOGRAM_OBSERVE("dvp_request_stage_ns{stage=\"encode\"}",
+                          t_send - t_encode);
+    task.session->send(frame);
+    DVP_HISTOGRAM_OBSERVE("dvp_request_stage_ns{stage=\"send\"}",
+                          nowNs() - t_send);
 
-        if (cfg.slowMs > 0 && !cfg.slowLogPath.empty() &&
-            r.seconds * 1000.0 >= static_cast<double>(cfg.slowMs)) {
-            DVP_COUNTER_INC("dvp_server_slow_queries_total");
-            logSlowQuery(task, r, r.stats.planEpoch,
-                         did_load ? &load_stats : nullptr);
-        }
+    if (r.ok && cfg.slowMs > 0 && !cfg.slowLogPath.empty() &&
+        r.seconds * 1000.0 >= static_cast<double>(cfg.slowMs)) {
+        DVP_COUNTER_INC("dvp_server_slow_queries_total");
+        logSlowQuery(task, r, r.stats.planEpoch,
+                     did_load ? &load_stats : nullptr);
     }
 
     DVP_HISTOGRAM_OBSERVE("dvp_server_request_ns",

@@ -114,6 +114,23 @@ struct Config
     std::string slowLogPath;
 };
 
+/**
+ * The RESULT payload of a row result, with every row written straight
+ * from @p rs's slots into a net::ResultWriter: string ids resolve
+ * through @p data's dictionary under its read lock, and no per-cell
+ * object is built.  @p meta supplies every field but the rows and the
+ * digest, which is rs.digest(), taken only once the rows fit.  The
+ * bytes equal encodeResult() of the same rows as decoded cells.
+ *
+ * Returns false as soon as the payload passes @p maxBytes (the
+ * server passes net::kMaxPayload; @p out is then unspecified), so an
+ * oversized result costs at most one row past the cap to discover.
+ */
+bool encodeRowResult(const net::ResultBody &meta,
+                     const engine::ResultSet &rs,
+                     const engine::DataSet &data, uint32_t level,
+                     size_t maxBytes, std::string &out);
+
 /** The server.  One instance serves one AdaptiveEngine. */
 class Server
 {

@@ -10,6 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "engine/database.hh"
 #include "engine/executor.hh"
 #include "engine/query.hh"
@@ -288,6 +294,104 @@ TEST(ResultSet, DigestDistinguishesCellChanges)
     a.rows = {{1, 2}};
     b.rows = {{1, 3}};
     EXPECT_NE(a.digest(), b.digest());
+}
+
+/** The canonical form digest()/equals() are defined by: a sorted copy. */
+std::vector<std::vector<Slot>>
+canonicalCopy(const ResultSet &rs)
+{
+    std::vector<std::vector<Slot>> rows = rs.rows;
+    std::sort(rows.begin(), rows.end());
+    return rows;
+}
+
+/** FNV-1a over the sorted copy: the digest's defining formula. */
+uint64_t
+referenceDigest(const ResultSet &rs)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (i * 8)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const auto &row : canonicalCopy(rs)) {
+        mix(0x9e3779b97f4a7c15ULL);
+        for (Slot s : row)
+            mix(static_cast<uint64_t>(s));
+    }
+    return h;
+}
+
+/**
+ * A random result: @p n rows of @p width cells drawn from a small
+ * value pool (nulls, negatives, string slots, large magnitudes), so
+ * rows repeat and first cells tie often.
+ */
+ResultSet
+randomResult(std::mt19937_64 &rng, size_t n, size_t width)
+{
+    const Slot pool[] = {kNullSlot, -7, -1, 0, 1, 2, 255, 256,
+                         int64_t{1} << 40, storage::encodeString(0),
+                         storage::encodeString(3),
+                         std::numeric_limits<Slot>::max()};
+    ResultSet rs;
+    rs.rows.resize(n);
+    for (auto &row : rs.rows) {
+        row.resize(width);
+        for (Slot &s : row)
+            s = pool[rng() % std::size(pool)];
+    }
+    return rs;
+}
+
+TEST(ResultSet, DigestAndEqualsMatchTheSortedCopyOracle)
+{
+    std::mt19937_64 rng(20190324);
+    std::vector<ResultSet> cases;
+    cases.emplace_back(); // empty
+    cases.push_back(randomResult(rng, 1, 2));
+    for (int k = 0; k < 40; ++k)
+        cases.push_back(randomResult(rng, 1 + rng() % 300,
+                                     1 + rng() % 4));
+    // select-* width: mostly-null catalog-wide rows.
+    ResultSet wide = randomResult(rng, 50, 1019);
+    for (auto &row : wide.rows)
+        for (size_t c = 0; c < row.size(); ++c)
+            if (c % 17 != 0)
+                row[c] = kNullSlot;
+    cases.push_back(wide);
+    // Ragged rows, including an empty row next to a null-led one.
+    ResultSet ragged;
+    ragged.rows = {{kNullSlot, 1}, {}, {3}, {3, kNullSlot}, {}, {-2}};
+    cases.push_back(ragged);
+
+    for (size_t i = 0; i < cases.size(); ++i) {
+        const ResultSet &rs = cases[i];
+        EXPECT_EQ(rs.digest(), referenceDigest(rs)) << "case " << i;
+
+        // Same rows in another order: equal, same digest.
+        ResultSet shuffled = rs;
+        std::shuffle(shuffled.rows.begin(), shuffled.rows.end(), rng);
+        EXPECT_TRUE(rs.equals(shuffled)) << "case " << i;
+        EXPECT_EQ(shuffled.digest(), rs.digest()) << "case " << i;
+
+        // Against every other case, equals() agrees with the oracle.
+        for (size_t j = 0; j < cases.size(); ++j)
+            EXPECT_EQ(rs.equals(cases[j]),
+                      canonicalCopy(rs) == canonicalCopy(cases[j]))
+                << "cases " << i << ", " << j;
+
+        // One changed cell: unequal, and the digest follows the oracle.
+        if (rs.rows.empty())
+            continue;
+        ResultSet changed = shuffled;
+        changed.rows[0].push_back(42);
+        EXPECT_FALSE(rs.equals(changed)) << "case " << i;
+        EXPECT_EQ(changed.digest(), referenceDigest(changed))
+            << "case " << i;
+    }
 }
 
 // ---------------------------------------------------------------------

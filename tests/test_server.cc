@@ -23,8 +23,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -60,6 +62,40 @@ TEST(Wire, CrcMatchesKnownVector)
     // IEEE CRC-32 of "123456789" is the classic check value.
     EXPECT_EQ(net::crc32("123456789", 9), 0xCBF43926u);
     EXPECT_EQ(net::crc32("", 0), 0u);
+}
+
+/** Bytewise CRC-32 (reflected 0xEDB88320): the reference crc32 meets. */
+uint32_t
+bytewiseCrc32(const unsigned char *p, size_t n)
+{
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Wire, CrcMatchesBytewiseReference)
+{
+    // Every length 0..1024 at every alignment 0..7 covers the sliced
+    // body, the bytewise tail and unaligned loads; then one 1 MiB run.
+    std::vector<unsigned char> buf((1u << 20) + 8);
+    uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (auto &b : buf) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<unsigned char>(x);
+    }
+    for (size_t off = 0; off < 8; ++off)
+        for (size_t len = 0; len <= 1024; ++len)
+            ASSERT_EQ(net::crc32(buf.data() + off, len),
+                      bytewiseCrc32(buf.data() + off, len))
+                << "offset " << off << ", length " << len;
+    EXPECT_EQ(net::crc32(buf.data(), 1u << 20),
+              bytewiseCrc32(buf.data(), 1u << 20));
 }
 
 TEST(Wire, TypedBodiesRoundTrip)
@@ -247,6 +283,35 @@ TEST(Wire, CrcMismatchIsAnError)
     EXPECT_NE(as.errorDetail().find("CRC"), std::string::npos);
 }
 
+TEST(Wire, ErrorCodesRoundTripInFramesWithDistinctNames)
+{
+    const net::ErrorCode all[] = {
+        net::ErrorCode::None,         net::ErrorCode::Parse,
+        net::ErrorCode::Exec,         net::ErrorCode::ServerBusy,
+        net::ErrorCode::ShuttingDown, net::ErrorCode::Protocol,
+        net::ErrorCode::Unsupported,  net::ErrorCode::ReadOnly,
+        net::ErrorCode::ResultTooLarge};
+    std::set<std::string> names;
+    for (net::ErrorCode code : all) {
+        std::string frame = net::encodeFrame(
+            net::FrameType::Error, net::encodeError({code, "why"}));
+        net::FrameAssembler as;
+        as.feed(frame.data(), frame.size());
+        net::Frame f;
+        ASSERT_TRUE(as.next(f));
+        ASSERT_EQ(f.type, net::FrameType::Error);
+        net::ErrorBody e;
+        ASSERT_TRUE(decodeError(f.payload, e));
+        EXPECT_EQ(e.code, code);
+        EXPECT_EQ(e.message, "why");
+        EXPECT_STRNE(net::errorCodeName(code), "?");
+        names.insert(net::errorCodeName(code));
+    }
+    EXPECT_EQ(names.size(), std::size(all));
+    EXPECT_STREQ(net::errorCodeName(net::ErrorCode::ResultTooLarge),
+                 "RESULT_TOO_LARGE");
+}
+
 TEST(Wire, DecodersRejectShortAndTrailingBytes)
 {
     std::string ok = encodeQuery(net::QueryBody{"SELECT 1"});
@@ -262,6 +327,184 @@ TEST(Wire, DecodersRejectShortAndTrailingBytes)
     std::string enc = encodeResult(r);
     net::ResultBody out;
     EXPECT_FALSE(decodeResult(enc.substr(0, enc.size() / 2), out));
+}
+
+// ---------------------------------------------------------------------
+// RESULT encoding: rows written straight from slots.
+// ---------------------------------------------------------------------
+
+/**
+ * The RESULT encoding as it was when the server first converted every
+ * slot to a net::Cell and encoded the cells: the oracle the
+ * slot-direct writer must match byte for byte.
+ */
+std::string
+cellPathEncodeResult(const net::ResultBody &b, uint32_t level)
+{
+    net::Writer w;
+    w.u8(static_cast<uint8_t>(b.kind));
+    w.str(b.message);
+    w.u32(static_cast<uint32_t>(b.columns.size()));
+    for (const auto &c : b.columns)
+        w.str(c);
+    w.u32(static_cast<uint32_t>(b.oids.size()));
+    for (int64_t oid : b.oids)
+        w.i64(oid);
+    w.u32(static_cast<uint32_t>(b.rows.size()));
+    for (const auto &row : b.rows) {
+        w.u32(static_cast<uint32_t>(row.size()));
+        for (const net::Cell &c : row) {
+            w.u8(static_cast<uint8_t>(c.kind));
+            if (c.kind == net::Cell::Kind::Int)
+                w.i64(c.i);
+            else if (c.kind == net::Cell::Kind::Str)
+                w.str(c.s);
+        }
+    }
+    w.u64(b.digest);
+    w.u64(b.checksum);
+    w.u64(b.execNs);
+    if (level >= net::kFeatureTrace) {
+        if (b.hasTraceId) {
+            net::Writer v;
+            v.u64(b.traceId);
+            w.u8(net::kExtTraceId);
+            w.str(v.bytes());
+        }
+        if (!b.opStats.empty()) {
+            net::Writer v;
+            v.u32(static_cast<uint32_t>(b.opStats.size()));
+            for (const auto &[key, value] : b.opStats) {
+                v.str(key);
+                v.u64(value);
+            }
+            w.u8(net::kExtOpStats);
+            w.str(v.bytes());
+        }
+    }
+    return w.bytes();
+}
+
+/** The cell-path conversion of one slot (the oracle's input side). */
+net::Cell
+slotCell(const engine::DataSet &data, storage::Slot s)
+{
+    if (storage::isNull(s))
+        return {net::Cell::Kind::Null, 0, ""};
+    if (storage::isStringSlot(s))
+        return {net::Cell::Kind::Str, 0,
+                data.dict.text(storage::decodeString(s))};
+    return {net::Cell::Kind::Int, s, ""};
+}
+
+TEST(ResultEncoding, SlotRowsMatchTheCellPathByteForByte)
+{
+    engine::DataSet data;
+    storage::Slot hello = storage::encodeString(data.dict.intern("hello"));
+    storage::Slot empty = storage::encodeString(data.dict.intern(""));
+    storage::Slot utf8 =
+        storage::encodeString(data.dict.intern("sparse_val_\xc3\xa9"));
+
+    engine::ResultSet many;
+    many.rows = {{123, hello, storage::kNullSlot},
+                 {storage::kNullSlot, -5, empty},
+                 {utf8, 0, std::numeric_limits<int64_t>::min() + 1},
+                 {hello, hello, -1}};
+    many.oids = {7, 9, 11, 13};
+    many.checksum = 0x1234;
+    engine::ResultSet none; // zero rows
+
+    for (const engine::ResultSet *rs : {&many, &none}) {
+        for (uint32_t level : {net::kFeatureBase, net::kFeatureTrace}) {
+            net::ResultBody meta;
+            meta.columns = {"num", "str1", "sparse_300"};
+            meta.oids = rs->oids;
+            meta.checksum = rs->checksum;
+            meta.execNs = 98765;
+            meta.hasTraceId = true;
+            meta.traceId = 0xABCDEF;
+            meta.opStats = {{"rows_out", rs->rowCount()}, {"plan_ns", 7}};
+
+            std::string direct;
+            ASSERT_TRUE(server::encodeRowResult(
+                meta, *rs, data, level, net::kMaxPayload, direct));
+
+            net::ResultBody cells = meta;
+            for (const auto &row : rs->rows) {
+                std::vector<net::Cell> out;
+                for (storage::Slot s : row)
+                    out.push_back(slotCell(data, s));
+                cells.rows.push_back(std::move(out));
+            }
+            cells.digest = rs->digest();
+            std::string oracle = cellPathEncodeResult(cells, level);
+            EXPECT_EQ(direct, oracle) << "rows " << rs->rowCount()
+                                      << ", level " << level;
+            EXPECT_EQ(encodeResult(cells, level), oracle);
+
+            net::ResultBody back;
+            ASSERT_TRUE(decodeResult(direct, back));
+            EXPECT_EQ(back.columns, meta.columns);
+            EXPECT_EQ(back.oids, meta.oids);
+            EXPECT_EQ(back.digest, rs->digest());
+            EXPECT_EQ(back.checksum, meta.checksum);
+            ASSERT_EQ(back.rows.size(), cells.rows.size());
+            for (size_t r = 0; r < back.rows.size(); ++r) {
+                ASSERT_EQ(back.rows[r].size(), cells.rows[r].size());
+                for (size_t c = 0; c < back.rows[r].size(); ++c) {
+                    EXPECT_EQ(back.rows[r][c].kind, cells.rows[r][c].kind);
+                    EXPECT_EQ(back.rows[r][c].i, cells.rows[r][c].i);
+                    EXPECT_EQ(back.rows[r][c].s, cells.rows[r][c].s);
+                }
+            }
+            EXPECT_EQ(back.hasTraceId, level >= net::kFeatureTrace);
+        }
+    }
+
+    // A Message result goes through the same writer with zero rows.
+    net::ResultBody msg;
+    msg.kind = net::ResultBody::Kind::Message;
+    msg.message = "ingested 10 documents";
+    msg.execNs = 5;
+    msg.hasTraceId = true;
+    msg.traceId = 3;
+    for (uint32_t level : {net::kFeatureBase, net::kFeatureTrace}) {
+        EXPECT_EQ(encodeResult(msg, level),
+                  cellPathEncodeResult(msg, level));
+        net::ResultBody back;
+        ASSERT_TRUE(decodeResult(encodeResult(msg, level), back));
+        EXPECT_EQ(back.kind, net::ResultBody::Kind::Message);
+        EXPECT_EQ(back.message, msg.message);
+    }
+}
+
+TEST(ResultEncoding, RowWriterStopsPastTheByteCap)
+{
+    engine::DataSet data;
+    storage::Slot s = storage::encodeString(data.dict.intern("0123456789"));
+    engine::ResultSet rs;
+    for (int i = 0; i < 100; ++i)
+        rs.rows.push_back({i, s});
+    net::ResultBody meta;
+    meta.columns = {"num", "str1"};
+
+    std::string full;
+    ASSERT_TRUE(server::encodeRowResult(meta, rs, data, net::kFeatureBase,
+                                        net::kMaxPayload, full));
+    std::string out;
+    // The cap is inclusive: exactly the payload size fits, one byte
+    // less does not, and a tiny cap stops within the first rows.
+    EXPECT_TRUE(server::encodeRowResult(meta, rs, data,
+                                        net::kFeatureBase, full.size(),
+                                        out));
+    EXPECT_EQ(out, full);
+    EXPECT_FALSE(server::encodeRowResult(
+        meta, rs, data, net::kFeatureBase, full.size() - 1, out));
+    EXPECT_FALSE(server::encodeRowResult(meta, rs, data,
+                                         net::kFeatureBase, 64, out));
+    engine::ResultSet none;
+    EXPECT_TRUE(server::encodeRowResult(meta, none, data,
+                                        net::kFeatureBase, 64, out));
 }
 
 // ---------------------------------------------------------------------
@@ -867,6 +1110,44 @@ TEST_F(ServerWorld, ServerMetricsReachThePrometheusExporter)
               std::string::npos);
     // Gauges exist even when they currently read zero.
     EXPECT_NE(text.find("dvp_server_sessions_active"),
+              std::string::npos);
+}
+
+TEST_F(ServerWorld, EveryAnsweredStatementObservesEncodeAndSendOnce)
+{
+    // The result path is visible from /metrics alone: each statement a
+    // worker answers — rows, message or typed error — adds exactly one
+    // observation to the encode stage and one to the send stage.
+    World w;
+    server::Server srv(*w.engine, {});
+    ASSERT_EQ(srv.start(), "");
+    auto &reg = obs::Registry::global();
+    obs::Histogram &encode =
+        reg.histogram("dvp_request_stage_ns{stage=\"encode\"}");
+    obs::Histogram &send =
+        reg.histogram("dvp_request_stage_ns{stage=\"send\"}");
+    uint64_t encode0 = encode.count(), send0 = send.count();
+
+    client::Client c;
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
+    uint64_t answered = 0;
+    for (const std::string &sql : queryMix()) {
+        ASSERT_TRUE(c.query(sql).ok) << sql;
+        ++answered;
+    }
+    ASSERT_TRUE(c.query("EXPLAIN SELECT str1, num FROM t").ok);
+    ++answered;
+    EXPECT_EQ(c.query("SELEKT nope").errorCode, net::ErrorCode::Parse);
+    ++answered;
+    c.close();
+    srv.stop(); // joins the workers: every observation has landed
+
+    EXPECT_EQ(encode.count() - encode0, answered);
+    EXPECT_EQ(send.count() - send0, answered);
+    std::string text = obs::exportPrometheus(reg);
+    EXPECT_NE(text.find("dvp_request_stage_ns_count{stage=\"encode\"}"),
+              std::string::npos);
+    EXPECT_NE(text.find("dvp_request_stage_ns_count{stage=\"send\"}"),
               std::string::npos);
 }
 
