@@ -8,14 +8,15 @@
  *
  *  1. insert throughput (closed loop): --writers connections each send
  *     INSERT statements of --batch documents back to back; reports
- *     wire-path inserts/s and the fold count the run provoked.
+ *     wire-path inserts/s and how long each batch held the engine's
+ *     write lock (the dvp_ingest_lock_ns histogram).
  *  2. read-only baseline (open loop): --connections reader connections
  *     cycle the paper's Q1-Q11 mix at --rate total QPS; reports QPS
  *     and p50/p95 read latency with zero writers as the reference.
  *  3. mixed read/write (open loop): the same reader schedule while
  *     writers sustain --write-rate inserts/s; reports read QPS and
- *     latency degradation next to the achieved insert rate — the
- *     writers-never-block-readers claim, measured end to end.
+ *     latency degradation next to the achieved insert rate: what the
+ *     readers pay for waiting on the write lock, end to end.
  *
  * Reads are scheduled open-loop (latency includes queue delay, so
  * overload shows instead of being coordinated away); inserts in stage
@@ -33,6 +34,7 @@
 
 #include "adaptive/adaptive_engine.hh"
 #include "client/client.hh"
+#include "obs/metrics.hh"
 #include "harness.hh"
 #include "server/server.hh"
 
@@ -237,7 +239,7 @@ usage(const char *argv0)
         "usage: %s [--docs N] [--seed S] [--duration SECONDS] "
         "[--connections C] [--rate READ_QPS] [--writers W] "
         "[--write-rate INSERTS_PER_S] [--batch B] [--workers N] "
-        "[--fold-rows N] [--json FILE]\n",
+        "[--json FILE]\n",
         argv0);
     return 2;
 }
@@ -255,7 +257,6 @@ main(int argc, char **argv)
     double write_rate = 500.0;
     size_t batch = 8;
     double duration = 5.0;
-    size_t fold_rows = 4096;
     server::Config scfg;
     scfg.workers = 3;
     scfg.allowInsert = true;
@@ -285,8 +286,6 @@ main(int argc, char **argv)
             batch = std::strtoull(next(), nullptr, 10);
         else if (a == "--workers")
             scfg.workers = std::strtoull(next(), nullptr, 10);
-        else if (a == "--fold-rows")
-            fold_rows = std::strtoull(next(), nullptr, 10);
         else if (a == "--json")
             opt.jsonPath = next();
         else
@@ -313,7 +312,6 @@ main(int argc, char **argv)
     }
     adaptive::Params params;
     params.background = true;
-    params.deltaFoldRows = fold_rows;
     adaptive::AdaptiveEngine engine(data, {}, params);
     server::Server server(engine, scfg);
     std::string err = server.start();
@@ -324,15 +322,22 @@ main(int argc, char **argv)
     uint16_t port = server.port();
     std::atomic<uint64_t> next_doc{0};
 
+    // Write-lock hold per INSERT batch over one stage: mean of the
+    // dvp_ingest_lock_ns samples the stage added.
+    const obs::Histogram &lock_ns =
+        obs::Registry::global().histogram("dvp_ingest_lock_ns");
+    auto lockMeanMs = [&](uint64_t n0, uint64_t sum0) {
+        uint64_t n = lock_ns.count() - n0;
+        return n ? static_cast<double>(lock_ns.sum() - sum0) / n / 1e6
+                 : 0.0;
+    };
+
     // Stage 1: insert-only closed loop.
-    uint64_t folds_before =
-        engine.adaptation().repartitions.load(std::memory_order_relaxed);
+    uint64_t n0 = lock_ns.count(), sum0 = lock_ns.sum();
     StageResult ins = driveStage(port, 0, 0, writers, 0, batch,
                                  duration, next_doc);
     engine.quiesce();
-    uint64_t folds =
-        engine.adaptation().repartitions.load(std::memory_order_relaxed) -
-        folds_before;
+    double ins_lock_ms = lockMeanMs(n0, sum0);
     double inserts_per_s = ins.insertsOk / ins.elapsed;
 
     // Stage 2: read-only open loop (the latency baseline).
@@ -343,11 +348,14 @@ main(int argc, char **argv)
     double ro_p95 = percentileMs(ro.readLatenciesNs, 0.95);
 
     // Stage 3: the same read schedule with paced writers underneath.
+    n0 = lock_ns.count();
+    sum0 = lock_ns.sum();
     StageResult mixed = driveStage(port, readers, rate, writers,
                                    write_rate, batch, duration,
                                    next_doc);
     engine.quiesce();
     server.stop();
+    double mx_lock_ms = lockMeanMs(n0, sum0);
     double mx_qps = mixed.readsOk / mixed.elapsed;
     double mx_p95 = percentileMs(mixed.readLatenciesNs, 0.95);
     double mx_inserts_per_s = mixed.insertsOk / mixed.elapsed;
@@ -377,23 +385,23 @@ main(int argc, char **argv)
                     std::to_string(writers) + " writers, " +
                     std::to_string(readers) + " readers)",
                 opt.csv);
-    std::printf("insert-only: %.0f inserts/s (batch %zu, %llu folds); "
-                "mixed: read p95 %.3f ms vs %.3f ms read-only\n",
-                inserts_per_s, batch,
-                static_cast<unsigned long long>(folds), mx_p95,
-                ro_p95);
+    std::printf("insert-only: %.0f inserts/s (batch %zu, write lock "
+                "%.3f ms per batch); mixed: read p95 %.3f ms vs %.3f ms "
+                "read-only (write lock %.3f ms per batch)\n",
+                inserts_per_s, batch, ins_lock_ms, mx_p95, ro_p95,
+                mx_lock_ms);
 
     bench::JsonLog log(opt, "ingest");
     log.value("server", "insert_only", "inserts_per_s", inserts_per_s,
               "1/s");
-    log.value("server", "insert_only", "folds",
-              static_cast<double>(folds), "count");
+    log.value("server", "insert_only", "lock_ms", ins_lock_ms, "ms");
     log.value("server", "read_only", "qps", ro_qps, "1/s");
     log.value("server", "read_only", "p95_ms", ro_p95, "ms");
     log.value("server", "mixed", "qps", mx_qps, "1/s");
     log.value("server", "mixed", "p95_ms", mx_p95, "ms");
     log.value("server", "mixed", "inserts_per_s", mx_inserts_per_s,
               "1/s");
+    log.value("server", "mixed", "lock_ms", mx_lock_ms, "ms");
 
     uint64_t errors = ins.errors + ro.errors + mixed.errors;
     if (errors > 0)

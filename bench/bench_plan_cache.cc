@@ -20,6 +20,7 @@
 #include "adaptive/adaptive_engine.hh"
 #include "engine/plan.hh"
 #include "engine/plan_cache.hh"
+#include "obs/metrics.hh"
 
 namespace dvp::bench
 {
@@ -96,6 +97,20 @@ run(int argc, char **argv)
         data, nobench::representatives(qs, nobench::Mix::uniform(), wrng),
         prm);
 
+    // Plan-cache counts of this phase: deltas of the registry counters
+    // every PlanCache lookup increments.
+    struct CacheCounts
+    {
+        uint64_t hits, misses, invalidations;
+    };
+    auto cacheCounts = [] {
+        auto &reg = obs::Registry::global();
+        return CacheCounts{
+            reg.counter("dvp_plan_cache_hits_total").value(),
+            reg.counter("dvp_plan_cache_misses_total").value(),
+            reg.counter("dvp_plan_cache_invalidations_total").value()};
+    };
+    CacheCounts before = cacheCounts();
     size_t phase = std::max<size_t>(opt.logSize / 2, 100);
     Rng qrng(opt.seed + 32);
     for (size_t i = 0; i < phase; ++i)
@@ -105,7 +120,9 @@ run(int argc, char **argv)
         eng.execute(qs.instantiateShifted(
             static_cast<int>(i % nobench::kNumTemplates), qrng));
 
-    engine::PlanCache::Stats st = eng.planCache().stats();
+    CacheCounts after = cacheCounts();
+    CacheCounts st{after.hits - before.hits, after.misses - before.misses,
+                   after.invalidations - before.invalidations};
     double ratio =
         st.hits + st.misses
             ? static_cast<double>(st.hits) /

@@ -18,9 +18,8 @@
  *     --max-inflight N      admission watermark     (default 64)
  *     --idle-timeout-ms N   reap idle sessions; 0 = never (default 0)
  *     --allow-load          permit LOAD DATA of server-local files
- *     --allow-insert        permit INSERT statements (writes go to the
- *                           engine's delta store; readers keep their
- *                           snapshot)
+ *     --allow-insert        permit INSERT statements (each batch is
+ *                           appended to the live partitions in place)
  *     --threads N           executor lanes per query (default 1)
  *     --load-threads N      parser lanes for LOAD DATA (default 4)
  *     --http-port P         serve GET /metrics and /healthz over HTTP
@@ -40,6 +39,8 @@
  *                           snapshot, replay WAL tail) and --gen/--load
  *                           are ignored; a fresh directory is seeded
  *                           and an initial checkpoint captures the seed.
+ *                           One dvpd owns a directory: a second one on
+ *                           the same DIR exits 1 (flock on DIR/LOCK).
  *     --fsync POLICY        always | interval | none  (default always)
  *     --fsync-interval-ms N interval policy timer     (default 50)
  *     --checkpoint-wal-mb N auto-checkpoint after N MB of WAL growth;

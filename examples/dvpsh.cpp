@@ -137,10 +137,11 @@ class Shell
     }
 
     /**
-     * Rebuild the engine when ingest introduced attributes the current
-     * layout has never seen (schema-less data: new attribute paths can
-     * appear at any time; the adaptive engine folds them in at the
-     * next repartition, and the shell forces one eagerly).
+     * Rebuild the engine when ingest introduced attributes the engine
+     * was not partitioned for (schema-less data: new attribute paths
+     * can appear at any time).  Ingest already stores them, each in a
+     * singleton partition; the shell re-runs the partitioner so they
+     * are grouped like every other attribute.
      */
     void
     ensureFresh()

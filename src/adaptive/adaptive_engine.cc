@@ -25,9 +25,7 @@ AdaptiveEngine::AdaptiveEngine(engine::DataSet &data,
     db = std::make_shared<engine::Database>(data, res.layout, "DVP",
                                             /*allow_pad=*/true, nullptr,
                                             prm.compress);
-    delta_ = std::make_shared<storage::DeltaStore>(
-        static_cast<int64_t>(data.docs.size()));
-    publishDelta();
+    decision_docs = data.docs.size();
 
     AuditRecord rec;
     rec.trigger = "initial";
@@ -49,29 +47,28 @@ AdaptiveEngine::AdaptiveEngine(RestoreTag, engine::DataSet &data,
       morsel_rows_(params.morselRows),
       detector(params.window, params.changeThreshold)
 {
-    // No partitioner run: the committed layout is rebuilt verbatim.
-    // docs[0, baseDocs) only reference attributes the logged layout
-    // covers (the swap that committed it grew singleton partitions
-    // for every catalog attribute), so the bulk build loses no cells;
-    // later documents go to the delta exactly as before the crash.
+    // No partitioner run: the committed layout is rebuilt verbatim
+    // from docs[0, baseDocs), which only reference attributes it
+    // covers (ingest and the swap cover the catalog before they
+    // append).  Later documents are appended as ingest appended them,
+    // so attributes they introduced get the same singleton partitions
+    // and the layout fingerprint comes back too.
     Timer build;
-    std::vector<storage::Document> base_docs(
-        data.docs.begin(),
-        data.docs.begin() + static_cast<ptrdiff_t>(r.baseDocs));
+    const std::vector<storage::Document> none;
     db = std::make_shared<engine::Database>(data, r.layout, "DVP",
-                                            /*allow_pad=*/true,
-                                            &base_docs, prm.compress);
+                                            /*allow_pad=*/true, &none,
+                                            prm.compress);
     db->adoptEpoch(r.epoch);
-    delta_ = std::make_shared<storage::DeltaStore>(
-        static_cast<int64_t>(r.baseDocs));
-    for (size_t i = r.baseDocs; i < data.docs.size(); ++i)
-        delta_->append(data.docs[i]);
-    publishDelta();
-    adapt_stats.lastLayoutTables = r.layout.partitionCount();
+    for (size_t i = 0; i < r.baseDocs; ++i)
+        db->insert(data.docs[i]);
+    appendDocs(r.baseDocs);
+    db->publishFootprint();
+    decision_docs = data.docs.size();
+    adapt_stats.lastLayoutTables = db->tableCount();
 
     AuditRecord rec;
     rec.trigger = "recovery";
-    rec.tables = r.layout.partitionCount();
+    rec.tables = db->tableCount();
     rec.layoutFingerprint = db->layoutFingerprint();
     rec.buildNs = static_cast<uint64_t>(build.seconds() * 1e9);
     pushAudit(std::move(rec));
@@ -97,27 +94,19 @@ AdaptiveEngine::setDurability(durability::Manager *dur)
 durability::CheckpointCut
 AdaptiveEngine::checkpointCut()
 {
-    std::lock_guard<std::mutex> lock(db_mutex);
+    // Ingest (doc append + WAL append) and the swap both hold db_mutex
+    // exclusive, so under the shared side the copied documents and the
+    // WAL position agree exactly: every logged record <= walLsn is in
+    // the copy, nothing newer is.
+    std::shared_lock<RwLock> lock(db_mutex);
     auto dlock = data->readLock(); // lock order: db_mutex, then mu
     durability::CheckpointCut cut;
-    // Ingest (doc append + WAL append) happens entirely under
-    // db_mutex, so the copied documents and the WAL position agree
-    // exactly: every logged record <= walLsn is in the copy, nothing
-    // newer is.
     cut.data = *data;
     cut.layout = db->layout();
     cut.epoch = db->epoch();
     cut.baseDocs = db->docCount();
     cut.walLsn = dur_ ? dur_->wal()->appendedLsn() : 0;
     return cut;
-}
-
-void
-AdaptiveEngine::publishDelta() const
-{
-    DVP_GAUGE_SET("dvp_delta_rows", static_cast<int64_t>(delta_->size()));
-    DVP_GAUGE_SET("dvp_delta_bytes",
-                  static_cast<int64_t>(delta_->bytes()));
 }
 
 void
@@ -145,37 +134,14 @@ AdaptiveEngine::~AdaptiveEngine()
 std::shared_ptr<engine::Database>
 AdaptiveEngine::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(db_mutex);
+    std::shared_lock<RwLock> lock(db_mutex);
     return db;
-}
-
-Snapshot
-AdaptiveEngine::snapshotFull() const
-{
-    // Appends and swaps both happen under db_mutex, so (base, delta,
-    // delta->size()) read here is a consistent cut: every delta row in
-    // the prefix is fully published and no base document is counted
-    // twice.  Rows appended after this snapshot exist in the store but
-    // stay invisible to the query — the prefix is immutable.
-    std::lock_guard<std::mutex> lock(db_mutex);
-    Snapshot snap;
-    snap.base = db;
-    snap.delta = delta_;
-    snap.deltaRows = delta_->size();
-    snap.epoch = db->epoch();
-    return snap;
-}
-
-size_t
-AdaptiveEngine::deltaRows() const
-{
-    std::lock_guard<std::mutex> lock(db_mutex);
-    return delta_->size();
 }
 
 void
 AdaptiveEngine::quiesce()
 {
+    std::lock_guard<std::mutex> lock(worker_mu);
     if (worker.joinable()) {
         DVP_TRACE_SPAN(quiesce_span, "quiesce", "join repartition");
         worker.join();
@@ -185,26 +151,28 @@ AdaptiveEngine::quiesce()
 engine::ResultSet
 AdaptiveEngine::execute(const engine::Query &q, engine::QueryStats *stats)
 {
-    // One snapshot per query, not per morsel: the executor's lanes all
-    // scan the same tables, and the shared_ptrs keep both the base and
-    // the delta alive even if a background repartition swaps the
-    // engine's pointers mid-query.  The delta prefix length pins the
-    // visibility cut, so concurrent ingest never perturbs a running
-    // query's result.
-    Snapshot snap = snapshotFull();
-    if (repartitioning.load(std::memory_order_relaxed)) {
-        ++adapt_stats.queriesDuringRepartition;
-        DVP_COUNTER_INC("dvp_queries_during_repartition_total");
+    // Bind and run under the shared engine lock: ingest appends to
+    // these very tables, and the swap replaces db, only while no query
+    // holds it.  The executor's lanes all finish before run() returns,
+    // so the lock covers every morsel.
+    engine::ResultSet rs;
+    double seconds = 0;
+    uint64_t scanned = 0;
+    {
+        std::shared_lock<RwLock> lock(db_mutex);
+        if (repartitioning.load(std::memory_order_relaxed)) {
+            ++adapt_stats.queriesDuringRepartition;
+            DVP_COUNTER_INC("dvp_queries_during_repartition_total");
+        }
+        Timer timer;
+        engine::Executor exec(*db, threads());
+        exec.setMorselRows(morselRows());
+        exec.setPlanCache(&plan_cache);
+        rs = exec.run(q, stats);
+        seconds = timer.seconds();
+        scanned = db->docCount();
     }
-    Timer timer;
-    engine::Executor exec(*snap.base, threads());
-    exec.setMorselRows(morselRows());
-    exec.setPlanCache(&plan_cache);
-    exec.setDelta(snap.delta.get(), snap.deltaRows);
-    engine::ResultSet rs = exec.run(q, stats);
-    double seconds = timer.seconds();
 
-    uint64_t scanned = snap.base->docCount() + snap.deltaRows;
     bool changed = false;
     {
         std::lock_guard<std::mutex> lock(detector_mutex);
@@ -217,6 +185,8 @@ AdaptiveEngine::execute(const engine::Query &q, engine::QueryStats *stats)
     if (changed) {
         DVP_COUNTER_INC("dvp_changes_detected_total");
         DVP_TRACE_SPAN(change_span, "change_detected", q.name.c_str());
+        // After the release: a synchronous repartition takes the
+        // engine lock exclusive.
         maybeRepartition(q.name);
     }
     return rs;
@@ -254,14 +224,19 @@ AdaptiveEngine::ingestFlat(const std::vector<json::FlatAttr> &flat)
     return ingestFlatBatch({flat}).lastOid;
 }
 
+void
+AdaptiveEngine::appendDocs(size_t first)
+{
+    db->coverCatalog();
+    for (size_t i = first; i < data->docs.size(); ++i)
+        db->insert(data->docs[i]);
+}
+
 IngestAck
 AdaptiveEngine::ingestFlatBatch(
     const std::vector<std::vector<json::FlatAttr>> &docs)
 {
     IngestAck ack;
-    std::shared_ptr<storage::DeltaStore> delta;
-    size_t first_idx = 0;
-    size_t pending = 0;
     // Encode the WAL body outside the lock (it only reads the
     // caller's documents); the append itself must happen under
     // db_mutex so the log order equals the apply order.
@@ -270,21 +245,28 @@ AdaptiveEngine::ingestFlatBatch(
     if (log)
         wal_body = durability::Manager::encodeIngestBody(docs);
     uint64_t lsn = 0;
+    bool changed = false;
     {
-        std::lock_guard<std::mutex> lock(db_mutex);
-        delta = delta_;
-        first_idx = delta->size();
-        for (const auto &flat : docs) {
+        std::unique_lock<RwLock> lock(db_mutex);
+        Timer held;
+        size_t first = data->docs.size();
+        for (const auto &flat : docs)
             ack.lastOid = data->addFlat(flat);
-            delta->append(data->docs.back());
+        appendDocs(first);
+        // Feed the change detector's data-drift windows.  Every doc
+        // writer holds db_mutex exclusive, so the batch is stable here.
+        if (prm.adapt) {
+            std::lock_guard<std::mutex> dlock(detector_mutex);
+            for (size_t i = first; i < data->docs.size(); ++i)
+                changed |= detector.observeIngest(data->docs[i]);
         }
-        publishDelta();
-        pending = delta->size();
         ack.count = docs.size();
         ack.totalDocs = data->docs.size();
         ack.epoch = db->epoch();
         if (log)
             lsn = dur_->logIngest(wal_body);
+        DVP_HISTOGRAM_OBSERVE("dvp_ingest_lock_ns",
+                              static_cast<uint64_t>(held.seconds() * 1e9));
     }
     if (log) {
         // Log-before-ack: group-commit the record (and maybe trigger
@@ -293,37 +275,14 @@ AdaptiveEngine::ingestFlatBatch(
         if (!err.empty())
             ack.walError = std::move(err);
     }
-    return finishIngest(ack, std::move(delta), first_idx, pending,
-                        docs.size());
-}
-
-IngestAck
-AdaptiveEngine::finishIngest(IngestAck ack,
-                             std::shared_ptr<storage::DeltaStore> delta,
-                             size_t first_idx, size_t pending, size_t n)
-{
-    if (n == 0)
+    if (docs.empty())
         return ack;
-    DVP_COUNTER_ADD("dvp_inserts_total", n);
-
-    // Feed the change detector's data-drift windows.  The appended
-    // rows are immutable, so reading them back through the captured
-    // shared_ptr is race-free even if a fold swaps the engine's delta
-    // meanwhile.
-    bool changed = false;
-    if (prm.adapt) {
-        std::lock_guard<std::mutex> lock(detector_mutex);
-        for (size_t i = first_idx; i < pending; ++i)
-            if (detector.observeIngest(delta->doc(i)))
-                changed = true;
-    }
+    DVP_COUNTER_ADD("dvp_inserts_total", docs.size());
     if (changed) {
         ++adapt_stats.changesDetected;
         DVP_COUNTER_INC("dvp_changes_detected_total");
         DVP_TRACE_SPAN(change_span, "change_detected", "ingest");
         maybeRepartition("ingest-drift");
-    } else if (prm.deltaFoldRows > 0 && pending >= prm.deltaFoldRows) {
-        maybeRepartition("delta-fold");
     }
     return ack;
 }
@@ -334,15 +293,12 @@ AdaptiveEngine::maybeRepartition(const std::string &trigger)
     if (repartitioning.exchange(true))
         return; // one repartition in flight is enough
 
-    // With adaptation off the layout is pinned: a repartition may only
-    // be a pure fold, so no workload is collected and the partitioner
-    // is skipped (repartitionNow keeps the current layout).
     std::vector<engine::Query> workload;
-    if (prm.adapt) {
+    {
         std::lock_guard<std::mutex> lock(detector_mutex);
         workload = wstats.representatives();
     }
-    if (workload.empty() && deltaRows() == 0) {
+    if (workload.empty()) {
         repartitioning.store(false);
         return;
     }
@@ -351,7 +307,9 @@ AdaptiveEngine::maybeRepartition(const std::string &trigger)
         repartitionNow(std::move(workload), trigger);
         return;
     }
-    quiesce(); // reap the previous worker, if any
+    std::lock_guard<std::mutex> lock(worker_mu);
+    if (worker.joinable())
+        worker.join(); // reap the previous worker
     worker = std::thread(
         [this, w = std::move(workload), t = trigger]() mutable {
             repartitionNow(std::move(w), std::move(t));
@@ -367,59 +325,32 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
 
     // All shared state the rebuild needs is snapshotted up front: the
     // cost model copies the catalog statistics, and the documents are
-    // copied under the lock so ingest can proceed concurrently.  The
-    // expensive work below (search + bulk table build) then runs on
-    // stable private data.  The document snapshot already contains the
-    // delta tail (the delta mirrors data->docs' suffix), so building
-    // from it IS the fold — delta rows land in the fresh partitions.
+    // copied under the lock (shared: it keeps ingest out) so ingest
+    // can proceed once the copy is done.  The expensive work below
+    // (search + bulk table build) then runs on stable private data.
     layout::Layout current_layout;
     std::vector<storage::Document> doc_snapshot;
     std::unique_ptr<core::Partitioner> partitioner;
-    size_t old_base_docs = 0;
-    size_t catalog_width = 0;
     {
-        std::lock_guard<std::mutex> lock(db_mutex);
+        std::shared_lock<RwLock> lock(db_mutex);
         auto dlock = data->readLock(); // lock order: db_mutex, then mu
         current_layout = db->layout();
         doc_snapshot = data->docs;
-        old_base_docs = db->docCount();
-        catalog_width = data->catalog.attrCount();
-        // The partitioner's cost model copies the catalog statistics,
-        // so construct it under the lock too.  A pure fold (no
-        // workload) keeps the incumbent layout and skips the search.
-        if (!workload.empty())
-            partitioner = std::make_unique<core::Partitioner>(
-                *data, std::move(workload), prm.search);
+        partitioner = std::make_unique<core::Partitioner>(
+            *data, std::move(workload), prm.search);
     }
 
     core::SearchResult res;
-    if (partitioner != nullptr) {
+    {
         DVP_TRACE_SPAN(part_span, "partitioner", "refine layout");
         res = partitioner->refine(current_layout);
-    } else {
-        res.layout = current_layout;
     }
     adapt_stats.lastPartitionerSeconds = res.seconds;
 
-    // Materialize attributes the layout has never seen — discovered by
-    // ingest after the incumbent layout was chosen — as singleton
-    // partitions, so folded documents keep every cell.  (Catalog growth
-    // happens under db_mutex, so attrs < catalog_width are stable.)
-    {
-        std::vector<std::vector<storage::AttrId>> parts(
-            res.layout.partitions().begin(),
-            res.layout.partitions().end());
-        bool grew = false;
-        for (storage::AttrId a = 0; a < catalog_width; ++a)
-            if (res.layout.partitionOf(a) == layout::kNoPart) {
-                parts.push_back({a});
-                grew = true;
-            }
-        if (grew)
-            res.layout = layout::Layout(std::move(parts));
-    }
-
-    // Bulk-build the new tables from the snapshot.
+    // Bulk-build the new tables from the snapshot.  The incumbent
+    // layout covers every attribute the snapshot's documents carry
+    // (ingest covers the catalog before it appends), and refine only
+    // moves attributes between partitions, so no cell is dropped.
     Timer build_timer;
     auto fresh = [&] {
         DVP_TRACE_SPAN(build_span, "build", "bulk-build tables");
@@ -431,36 +362,25 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
 
     // Catch up with documents ingested during the build, then switch
     // through an atomic pointer swap (readers hold shared_ptrs, so a
-    // query in flight keeps its tables alive).  A document carrying an
-    // attribute the new layout has no partition for (born during the
-    // build) must not lose cells to the fold — it and everything after
-    // it stay in the successor delta instead.
+    // query in flight keeps its tables alive).  Attributes born during
+    // the build get singleton partitions first, exactly as ingest
+    // would have given them.
     Timer swap_timer;
     uint64_t caught_up = 0;
-    uint64_t folded = 0;
+    uint64_t ingested = 0;
     uint64_t swap_lsn = 0;
     {
         DVP_TRACE_SPAN(swap_span, "swap", "catch-up + pointer swap");
-        std::lock_guard<std::mutex> lock(db_mutex);
-        auto dlock = data->readLock(); // lock order: db_mutex, then mu
-        size_t i = fresh->docCount();
-        for (; i < data->docs.size(); ++i) {
-            const storage::Document &doc = data->docs[i];
-            if (!doc.attrs.empty() &&
-                doc.attrs.back().first >= catalog_width)
-                break;
-            fresh->insert(doc);
+        std::unique_lock<RwLock> lock(db_mutex);
+        fresh->coverCatalog();
+        for (size_t i = fresh->docCount(); i < data->docs.size(); ++i) {
+            fresh->insert(data->docs[i]);
             ++caught_up;
         }
-        auto successor = std::make_shared<storage::DeltaStore>(
-            static_cast<int64_t>(i));
-        for (; i < data->docs.size(); ++i)
-            successor->append(data->docs[i]);
-        folded = fresh->docCount() - old_base_docs;
+        ingested = fresh->docCount() - decision_docs;
+        decision_docs = fresh->docCount();
         db = std::move(fresh);
-        delta_ = std::move(successor);
-        publishDelta();
-        adapt_stats.lastLayoutTables = res.layout.partitionCount();
+        adapt_stats.lastLayoutTables = db->tableCount();
         ++adapt_stats.repartitions;
         // Log the committed swap inside the same critical section so
         // its WAL position is ordered exactly like the swap itself
@@ -468,6 +388,7 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
         if (dur_)
             swap_lsn = dur_->logSwap(db->layout(), db->epoch(),
                                      db->docCount());
+        res.layout = db->layout();
     }
     if (dur_) {
         std::string err = dur_->commit(swap_lsn);
@@ -476,12 +397,6 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
                  err.c_str());
     }
     double swap_seconds = swap_timer.seconds();
-    if (folded > 0) {
-        DVP_COUNTER_INC("dvp_delta_folds_total");
-        DVP_HISTOGRAM_OBSERVE(
-            "dvp_delta_fold_ns",
-            static_cast<uint64_t>((build_seconds + swap_seconds) * 1e9));
-    }
 
     AuditRecord rec;
     rec.trigger = std::move(trigger);
@@ -495,7 +410,7 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
     rec.buildNs = static_cast<uint64_t>(build_seconds * 1e9);
     rec.swapNs = static_cast<uint64_t>(swap_seconds * 1e9);
     rec.docsCaughtUp = caught_up;
-    rec.deltaFolded = folded;
+    rec.deltaFolded = ingested;
     pushAudit(std::move(rec));
     {
         std::lock_guard<std::mutex> lock(detector_mutex);

@@ -12,6 +12,12 @@
  * up, and the engine switches to the new tables through an atomic
  * swap — queries never observe a partial layout and no downtime occurs.
  *
+ * Ingest is the paper's insert (§IV): each document is appended to the
+ * partitions of the current Database in place.  One writer-preferring
+ * reader/writer lock (db_mutex) orders it against queries: a query
+ * holds it shared across bind and run, an ingest batch and the swap
+ * hold it exclusive (DESIGN.md §16).
+ *
  * A synchronous mode (Params::background = false) performs the same
  * repartition inline, for deterministic tests.
  */
@@ -23,6 +29,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,7 +41,7 @@
 #include "engine/query.hh"
 #include "stats/change_detector.hh"
 #include "stats/workload_stats.hh"
-#include "storage/delta.hh"
+#include "util/rwlock.hh"
 
 namespace dvp::adaptive
 {
@@ -66,15 +73,6 @@ struct Params
      * compress flag), so the footprint reduction survives adaptation.
      */
     bool compress = false;
-
-    /**
-     * Fold the INSERT delta store into fresh partitions once it holds
-     * this many rows (an LSM-style compaction riding the repartition
-     * machinery; the layout is kept when no workload drift was
-     * observed).  0 disables the size trigger — the delta then drains
-     * only at workload- or drift-triggered repartitions.
-     */
-    size_t deltaFoldRows = 4096;
 };
 
 /**
@@ -117,24 +115,8 @@ struct AuditRecord
     uint64_t buildNs = 0;           ///< bulk table build wall time
     uint64_t swapNs = 0;            ///< catch-up + pointer swap time
     uint64_t docsCaughtUp = 0;      ///< docs ingested during the build
-    uint64_t deltaFolded = 0;       ///< delta rows drained into the build
-};
-
-/**
- * A consistent read snapshot of the engine: the epoch-stamped base
- * partitions plus an immutable prefix of the INSERT delta tail.  Every
- * query runs against one of these, so writers never block readers and
- * a query's result is a function of the cut alone — the same documents
- * are visible whether they sit in the delta or were folded into the
- * partitions since.  The shared_ptrs keep both sides alive across a
- * concurrent repartition swap.
- */
-struct Snapshot
-{
-    std::shared_ptr<engine::Database> base;
-    std::shared_ptr<storage::DeltaStore> delta;
-    size_t deltaRows = 0; ///< visible prefix of the delta tail
-    uint64_t epoch = 0;   ///< base->epoch() shorthand
+    /** Docs ingested since the previous layout decision. */
+    uint64_t deltaFolded = 0;
 };
 
 /** Acknowledgement for an ingest batch (surfaced in INSERT acks). */
@@ -142,7 +124,7 @@ struct IngestAck
 {
     size_t count = 0;     ///< documents appended by this call
     size_t totalDocs = 0; ///< engine document count after the append
-    uint64_t epoch = 0;   ///< base epoch the append landed next to
+    uint64_t epoch = 0;   ///< epoch of the Database appended to
     int64_t lastOid = -1; ///< oid of the last appended document
     /**
      * Non-empty when durable logging failed: the documents are in
@@ -154,8 +136,8 @@ struct IngestAck
 
 /**
  * Durably recovered layout state for AdaptiveEngine::restore(): the
- * committed layout, its epoch, and how many documents were folded
- * into the base when it was committed (the rest become the delta).
+ * committed layout, its epoch, and how many documents that layout was
+ * bulk-built over (the rest were appended after it was committed).
  */
 struct Restore
 {
@@ -177,13 +159,13 @@ class AdaptiveEngine
                    Params params = {});
 
     /**
-     * Rebuild an engine from durably recovered state: the base
-     * partitions are built from docs[0, baseDocs) under the committed
-     * layout (no partitioner run), the epoch is adopted verbatim, and
-     * docs[baseDocs, ...) become the INSERT delta — exactly the state
-     * the pre-crash process was serving.  A static factory rather
-     * than a constructor so existing `AdaptiveEngine e(data, {},
-     * params)` call sites stay unambiguous.
+     * Rebuild an engine from durably recovered state: the partitions
+     * are bulk-built from docs[0, baseDocs) under the committed layout
+     * (no partitioner run), the epoch is adopted verbatim, and
+     * docs[baseDocs, ...) are appended the way ingest appends them —
+     * exactly the state the pre-crash process was serving.  A static
+     * factory rather than a constructor so existing `AdaptiveEngine
+     * e(data, {}, params)` call sites stay unambiguous.
      */
     static std::unique_ptr<AdaptiveEngine>
     restore(engine::DataSet &data, Restore r, Params params = {});
@@ -195,19 +177,20 @@ class AdaptiveEngine
 
     /**
      * Execute one query, record its statistics, and possibly trigger a
-     * repartition.  Thread-compatible with one in-flight background
-     * repartition; queries themselves run on the caller's thread.
-     * @p stats, when non-null, receives per-query execution statistics
-     * (see engine/query_stats.hh).
+     * repartition.  Safe to call from several threads, concurrently
+     * with ingest and one in-flight background repartition; the query
+     * binds and runs under the shared engine lock on the caller's
+     * thread.  @p stats, when non-null, receives per-query execution
+     * statistics (see engine/query_stats.hh).
      */
     engine::ResultSet execute(const engine::Query &q,
                               engine::QueryStats *stats = nullptr);
 
     /**
-     * Ingest one new document: encode + append to the row-major delta
-     * store, never touching the sealed partitions.  Readers observe it
-     * on their next snapshot; the delta drains into fresh partitions
-     * at the next repartition (fold).  @return the document's oid.
+     * Ingest one new document: encode it and append it to the current
+     * Database's partitions under the exclusive engine lock, after
+     * giving any attribute the layout lacks a singleton partition.
+     * The next query sees it.  @return the document's oid.
      */
     int64_t ingest(const json::JsonValue &doc);
 
@@ -217,8 +200,8 @@ class AdaptiveEngine
     /**
      * Ingest one pre-flattened document (the tape-parser fast path:
      * no JsonValue tree exists).  Semantics are identical to
-     * ingest(flatten-equivalent doc): delta append, drift windows,
-     * fold trigger.  @return the document's oid.
+     * ingest(flatten-equivalent doc): in-place append, drift windows.
+     * @return the document's oid.
      */
     int64_t ingestFlat(const std::vector<json::FlatAttr> &flat);
 
@@ -226,18 +209,26 @@ class AdaptiveEngine
     IngestAck ingestFlatBatch(
         const std::vector<std::vector<json::FlatAttr>> &docs);
 
-    /** Current database snapshot (shared; stays valid across swaps). */
+    /**
+     * The current Database (shared; stays alive across swaps).  Ingest
+     * grows it in place, so reading its tables or layout while ingest
+     * may run needs read() instead.
+     */
     std::shared_ptr<engine::Database> snapshot() const;
 
     /**
-     * Consistent read snapshot: base partitions + the immutable delta
-     * tail prefix appended so far.  This is the cut every execute()
-     * call queries.
+     * Run @p fn on the current Database under the shared engine lock:
+     * no ingest or swap runs until it returns.  EXPLAIN and STATS read
+     * the live layout this way.  @p fn must not call back into the
+     * engine (the lock is not recursive).
      */
-    Snapshot snapshotFull() const;
-
-    /** Delta rows currently pending a fold (monitoring/tests). */
-    size_t deltaRows() const;
+    template <class Fn>
+    auto
+    read(Fn &&fn) const
+    {
+        std::shared_lock<RwLock> lock(db_mutex);
+        return fn(static_cast<const engine::Database &>(*db));
+    }
 
     /** Wait for any in-flight background repartition to finish. */
     void quiesce();
@@ -299,11 +290,11 @@ class AdaptiveEngine
 
     /**
      * A consistent checkpoint cut: a private copy of the data set
-     * plus {layout, epoch, baseDocs, walLsn} taken under the ingest
-     * lock, so the WAL position exactly covers the copied documents.
-     * The pause is the copy itself — the same order of stall as the
-     * existing repartition snapshot, and far shorter than a blocking
-     * serialize-to-disk would be.
+     * plus {layout, epoch, baseDocs, walLsn} taken under the shared
+     * engine lock, so no ingest runs and the WAL position exactly
+     * covers the copied documents.  The pause for writers is the copy
+     * itself — the same order of stall as the repartition snapshot,
+     * and far shorter than a blocking serialize-to-disk would be.
      */
     durability::CheckpointCut checkpointCut();
 
@@ -317,12 +308,13 @@ class AdaptiveEngine
     void repartitionNow(std::vector<engine::Query> workload,
                         std::string trigger);
     void pushAudit(AuditRecord rec);
-    /** Mirror delta_ into the dvp_delta_* gauges (db_mutex held). */
-    void publishDelta() const;
     IngestAck ingestMany(const json::JsonValue *docs, size_t n);
-    IngestAck finishIngest(IngestAck ack,
-                           std::shared_ptr<storage::DeltaStore> delta,
-                           size_t first_idx, size_t pending, size_t n);
+    /**
+     * Cover the catalog, then append data->docs[first, end) to the
+     * current Database (db_mutex held exclusive, or the engine not yet
+     * shared).
+     */
+    void appendDocs(size_t first);
 
     engine::DataSet *data;
     Params prm;
@@ -330,9 +322,14 @@ class AdaptiveEngine
     std::atomic<size_t> threads_{1};
     std::atomic<size_t> morsel_rows_{0};
 
-    mutable std::mutex db_mutex;   ///< guards db swaps and doc appends
+    /**
+     * The engine lock.  Shared: a query's bind + run, EXPLAIN, STATS,
+     * checkpoint cuts.  Exclusive: an ingest batch (doc encode, table
+     * append, WAL log) and the repartition swap.  Lock order: db_mutex,
+     * then DataSet::mu, then detector_mutex.
+     */
+    mutable RwLock db_mutex;
     std::shared_ptr<engine::Database> db;
-    std::shared_ptr<storage::DeltaStore> delta_; ///< swap under db_mutex
     engine::PlanCache plan_cache;
 
     /**
@@ -349,7 +346,13 @@ class AdaptiveEngine
     mutable std::mutex audit_mutex;
     std::deque<AuditRecord> audit_ring;
     uint64_t audit_seq = 0;
+    size_t decision_docs = 0; ///< docCount at the last decision (db_mutex)
 
+    /**
+     * Guards worker: a query or ingest thread spawns it while any
+     * thread (a test, the destructor) may be joining it.
+     */
+    std::mutex worker_mu;
     std::thread worker;
     std::atomic<bool> repartitioning{false};
 };

@@ -1,7 +1,11 @@
 #include "durability/manager.hh"
 
+#include <cerrno>
 #include <cstring>
+#include <fcntl.h>
 #include <filesystem>
+#include <sys/file.h>
+#include <unistd.h>
 
 #include "net/wire.hh"
 #include "obs/metrics.hh"
@@ -189,6 +193,9 @@ Manager::Manager(Config cfg) : cfg_(std::move(cfg))
 Manager::~Manager()
 {
     quiesce();
+    wal_.reset(); // close the log before another process may own it
+    if (lock_fd_ >= 0)
+        ::close(lock_fd_);
 }
 
 void
@@ -205,6 +212,24 @@ Manager::open(engine::DataSet &out, RecoveryInfo &info)
     fs::create_directories(cfg_.dir, ec);
     if (ec)
         return "create '" + cfg_.dir + "': " + ec.message();
+
+    // One owner per directory: a second process appending to the same
+    // WAL segment would corrupt it.  The flock dies with the process,
+    // so a kill -9 never leaves a stale lock behind.
+    const std::string lock_path = cfg_.dir + "/" + kLockFile;
+    lock_fd_ = ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC,
+                      0644);
+    if (lock_fd_ < 0)
+        return "open '" + lock_path + "': " + std::strerror(errno);
+    if (::flock(lock_fd_, LOCK_EX | LOCK_NB) != 0) {
+        int err = errno;
+        ::close(lock_fd_);
+        lock_fd_ = -1;
+        if (err == EWOULDBLOCK)
+            return "data directory '" + cfg_.dir +
+                   "' is locked by another process (" + kLockFile + ")";
+        return "flock '" + lock_path + "': " + std::strerror(err);
+    }
 
     if (!fs::exists(cfg_.dir + "/" + kManifestFile)) {
         // Fresh directory.  Stray WAL segments with no manifest mean

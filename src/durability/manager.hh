@@ -52,6 +52,9 @@
 namespace dvp::durability
 {
 
+/** Lock file every open Manager holds an exclusive flock on. */
+inline constexpr const char *kLockFile = "LOCK";
+
 /** Data-directory configuration. */
 struct Config
 {
@@ -123,8 +126,12 @@ class Manager
     /**
      * Open (or create) the data directory.  On return @p out holds
      * every recovered document and @p info the layout/epoch state and
-     * replay counts.  @return error message or empty; recovery
-     * refuses corrupt state rather than serving a guess.
+     * replay counts.  Before recovery the Manager takes an exclusive
+     * flock on <dir>/LOCK and holds it until it is destroyed, so a
+     * second opener of the same directory (in this process or another)
+     * fails with a "locked by another process" error.  @return error
+     * message or empty; recovery refuses corrupt state rather than
+     * serving a guess.
      */
     std::string open(engine::DataSet &out, RecoveryInfo &info);
 
@@ -194,6 +201,7 @@ class Manager
                                uint64_t snapshot_lsn);
 
     Config cfg_;
+    int lock_fd_ = -1; ///< flock'd <dir>/LOCK; -1 before open()
     std::unique_ptr<Wal> wal_;
     CutFn cut_;
 

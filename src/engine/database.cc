@@ -43,7 +43,7 @@ Database::Database(const DataSet &data, layout::Layout layout,
                    const std::vector<storage::Document> *docs_override,
                    bool compress)
     : data_(&data), layout_(std::move(layout)), name_(std::move(name)),
-      compress_(compress)
+      allow_pad_(allow_pad), compress_(compress)
 {
     epoch_ = next_epoch.fetch_add(1, std::memory_order_relaxed);
 
@@ -57,16 +57,8 @@ Database::Database(const DataSet &data, layout::Layout layout,
         for (storage::AttrId a : part)
             max_attr = std::max<size_t>(max_attr, a);
     locs_.assign(max_attr + 1, AttrLoc{});
-
-    for (size_t p = 0; p < layout_.partitionCount(); ++p) {
-        const auto &attrs = layout_.partition(
-            static_cast<layout::PartIdx>(p));
-        tables_.emplace_back(name_ + ".p" + std::to_string(p), attrs,
-                             arena_, allow_pad, compress_);
-        for (size_t c = 0; c < attrs.size(); ++c)
-            locs_[attrs[c]] = AttrLoc{static_cast<int>(p),
-                                      static_cast<int>(c)};
-    }
+    for (const auto &attrs : layout_.partitions())
+        addTable(attrs);
 
     const auto &docs = docs_override ? *docs_override : data.docs;
     for (const auto &doc : docs)
@@ -88,6 +80,36 @@ Database::adoptEpoch(uint64_t epoch)
            !next_epoch.compare_exchange_weak(
                cur, epoch + 1, std::memory_order_relaxed)) {
     }
+}
+
+void
+Database::addTable(const std::vector<storage::AttrId> &attrs)
+{
+    int p = static_cast<int>(tables_.size());
+    tables_.emplace_back(name_ + ".p" + std::to_string(p), attrs, arena_,
+                         allow_pad_, compress_);
+    for (size_t c = 0; c < attrs.size(); ++c) {
+        if (attrs[c] >= locs_.size())
+            locs_.resize(attrs[c] + 1, AttrLoc{});
+        locs_[attrs[c]] = AttrLoc{p, static_cast<int>(c)};
+    }
+}
+
+void
+Database::coverCatalog()
+{
+    std::vector<std::vector<storage::AttrId>> parts;
+    for (storage::AttrId a = 0; a < data_->catalog.attrCount(); ++a)
+        if (layout_.partitionOf(a) == layout::kNoPart)
+            parts.push_back({a});
+    if (parts.empty())
+        return;
+    for (const auto &attrs : parts)
+        addTable(attrs);
+    parts.insert(parts.begin(), layout_.partitions().begin(),
+                 layout_.partitions().end());
+    layout_ = layout::Layout(std::move(parts));
+    layout_fingerprint_ = layout_.fingerprint();
 }
 
 std::vector<storage::Slot>

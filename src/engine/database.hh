@@ -130,6 +130,16 @@ class Database
     /** Append one more document to every partition table. */
     void insert(const storage::Document &doc);
 
+    /**
+     * Give every catalog attribute this layout lacks an empty singleton
+     * partition, so later insert()s keep its cells.  Live ingest calls
+     * this before appending a batch, and a repartition calls it on the
+     * fresh database before catching up; insert() alone drops cells of
+     * attributes outside the layout.  The epoch stays; the layout
+     * fingerprint changes when a partition is added.
+     */
+    void coverCatalog();
+
     const layout::Layout &layout() const { return layout_; }
     const DataSet &data() const { return *data_; }
     const std::string &name() const { return name_; }
@@ -202,6 +212,8 @@ class Database
     std::vector<storage::Slot> denseSlots(const storage::Document &doc)
         const;
 
+    void addTable(const std::vector<storage::AttrId> &attrs);
+
     const DataSet *data_;
     layout::Layout layout_;
     std::string name_;
@@ -209,6 +221,7 @@ class Database
     std::vector<storage::Table> tables_;
     std::vector<AttrLoc> locs_; ///< dense AttrId -> location
     size_t ndocs = 0;
+    bool allow_pad_ = true;
     bool compress_ = false;
     double build_seconds = 0;
     uint64_t epoch_ = 0;

@@ -77,12 +77,9 @@ class Exec
 {
   public:
     Exec(Database &db, const PhysicalPlan &plan, Tracer tr,
-         size_t threads, size_t morsel_rows, bool vectorized,
-         const storage::DeltaStore *delta = nullptr,
-         size_t delta_rows = 0)
+         size_t threads, size_t morsel_rows, bool vectorized)
         : db(db), plan(plan), tr(tr), threads(threads),
-          morsel_rows(morsel_rows), vectorized(vectorized),
-          delta(delta), delta_rows(delta == nullptr ? 0 : delta_rows)
+          morsel_rows(morsel_rows), vectorized(vectorized)
     {
     }
 
@@ -97,7 +94,6 @@ class Exec
     uint64_t obs_blocks_scanned = 0;   ///< zone-map blocks scanned
     uint64_t obs_blocks_skipped = 0;   ///< zone-map blocks skipped
     uint64_t obs_matches = 0;          ///< WHERE-clause matching oids
-    uint64_t obs_delta_rows = 0;       ///< delta rows merged by scans
     uint64_t obs_compressed[4] = {0, 0, 0, 0}; ///< eval paths taken
 
     // Per-phase wall time, accumulated only on the top-level Exec (the
@@ -114,9 +110,22 @@ class Exec
     project(const Query &)
     {
         PhaseTimer phase(obs_project_ns);
-        ResultSet rs = projectBase();
-        projectDelta(rs);
-        return rs;
+        const MergeScanProjectOp &op = plan.project;
+        if (op.tables.empty())
+            return ResultSet{};
+        std::vector<const Table *> tables = resolve(op.tables);
+        if (parallel()) {
+            std::vector<int64_t> bounds =
+                oidBoundaries(tablePtr(op.driving));
+            if (bounds.size() > 2)
+                return merge(scatter<ResultSet>(
+                    bounds.size() - 1, [&](Exec &lane, size_t i) {
+                        return lane.projectRange(op, tables, bounds[i],
+                                                 bounds[i + 1]);
+                    }));
+        }
+        DVP_TRACE_SPAN(scan_span, "scan", "serial project");
+        return projectRange(op, tables, INT64_MIN, INT64_MAX);
     }
 
     /**
@@ -131,20 +140,11 @@ class Exec
     {
         PhaseTimer phase(obs_filter_ns);
         std::vector<int64_t> m = matchesImpl(q);
-        if (deltaActive())
-            deltaMatches(q, m);
         obs_matches = m.size();
         return m;
     }
 
-    /**
-     * Retrieve all matches, morselized over the match list.  With a
-     * delta snapshot attached the (sorted) match list splits at the
-     * delta's first oid: the base prefix runs the partition cursors
-     * (possibly in parallel), the tail materializes serially from the
-     * row-major delta documents and appends — the same order a fold
-     * would have produced.
-     */
+    /** Retrieve all matches, morselized over the match list. */
     ResultSet
     retrieve(const Query &, const std::vector<int64_t> &matches)
     {
@@ -167,7 +167,7 @@ class Exec
     /**
      * The retrieve walk shared by both sinks.  Each morsel runs the
      * kernel on its own copy of the empty @p sink; partial outputs
-     * merge in morsel order before the delta tail appends.
+     * merge in morsel order.
      */
     template <class Sink>
     decltype(Sink::out)
@@ -175,85 +175,21 @@ class Exec
     {
         PhaseTimer phase(obs_retrieve_ns);
         DVP_TRACE_SPAN(retrieve_span, "retrieve", nullptr);
-        size_t nbase = matches.size();
-        if (deltaActive())
-            nbase = static_cast<size_t>(
-                std::lower_bound(matches.begin(), matches.end(),
-                                 delta->firstOid()) -
-                matches.begin());
-        if (parallel() && nbase > morsel_rows) {
-            size_t nm = (nbase + morsel_rows - 1) / morsel_rows;
-            sink.out = merge(scatter<decltype(Sink::out)>(
+        size_t n = matches.size();
+        if (parallel() && n > morsel_rows) {
+            size_t nm = (n + morsel_rows - 1) / morsel_rows;
+            return merge(scatter<decltype(Sink::out)>(
                 nm, [&](Exec &lane, size_t i) {
                     size_t m0 = i * lane.morsel_rows;
-                    size_t n = std::min(lane.morsel_rows, nbase - m0);
                     Sink part = sink;
-                    lane.retrieveRange(matches.data() + m0, n, part);
+                    lane.retrieveRange(matches.data() + m0,
+                                       std::min(lane.morsel_rows, n - m0),
+                                       part);
                     return std::move(part.out);
                 }));
-        } else {
-            retrieveRange(matches.data(), nbase, sink);
         }
-        retrieveDelta(matches.data() + nbase, matches.size() - nbase,
-                      sink);
+        retrieveRange(matches.data(), n, sink);
         return std::move(sink.out);
-    }
-
-    /** The sealed-partition merge scan (the original project body). */
-    ResultSet
-    projectBase()
-    {
-        const MergeScanProjectOp &op = plan.project;
-        if (op.tables.empty())
-            return ResultSet{};
-        std::vector<const Table *> tables = resolve(op.tables);
-        if (parallel()) {
-            std::vector<int64_t> bounds =
-                oidBoundaries(tablePtr(op.driving));
-            if (bounds.size() > 2)
-                return merge(scatter<ResultSet>(
-                    bounds.size() - 1, [&](Exec &lane, size_t i) {
-                        return lane.projectRange(op, tables, bounds[i],
-                                                 bounds[i + 1]);
-                    }));
-        }
-        DVP_TRACE_SPAN(scan_span, "scan", "serial project");
-        return projectRange(op, tables, INT64_MIN, INT64_MAX);
-    }
-
-    /**
-     * Append the delta tail's projection rows to @p rs.  Delta oids
-     * sort strictly after every base oid, so appending serially after
-     * the (possibly parallel) base scan reproduces exactly the rows a
-     * fold of the tail into the partitions would have merged — same
-     * order, same sparse-omission gate, same cell digests.
-     */
-    void
-    projectDelta(ResultSet &rs)
-    {
-        if (!deltaActive())
-            return;
-        DVP_TRACE_SPAN(scan_span, "scan", "delta project");
-        const std::vector<AttrId> &attrs = plan.delta.attrs;
-        std::vector<Slot> row(attrs.size(), kNullSlot);
-        for (size_t i = 0; i < delta_rows; ++i) {
-            const storage::Document &doc = delta->doc(i);
-            countRows(1);
-            countDelta();
-            bool any = false;
-            for (size_t j = 0; j < attrs.size(); ++j) {
-                Slot s = doc.slotOf(attrs[j]);
-                row[j] = s;
-                if (!isNull(s)) {
-                    any = true;
-                    rs.checksum ^= cellDigest(attrs[j], s);
-                }
-            }
-            if (any) {
-                rs.oids.push_back(doc.oid);
-                rs.rows.push_back(row);
-            }
-        }
     }
 
     std::vector<int64_t>
@@ -314,66 +250,6 @@ class Exec
         panic("unhandled filter mode");
     }
 
-    /**
-     * Append the delta tail's WHERE matches to @p m.  Delta documents
-     * are row-major, so every mode collapses to evaluating the bound
-     * condition against Document::slotOf — which returns kNullSlot for
-     * absent attributes, exactly the cell a fold would have stored
-     * under sparse omission.  Delta oids are increasing and larger
-     * than every base oid, so @p m stays globally sorted.  Unlike the
-     * partition scan, FilterMode::Empty (condition column unknown at
-     * bind) still evaluates the tail: the column may exist only in
-     * documents inserted after the plan was bound.
-     */
-    void
-    deltaMatches(const Query &q, std::vector<int64_t> &m)
-    {
-        DVP_TRACE_SPAN(scan_span, "scan", "delta filter");
-        const Condition &c = q.cond;
-        const FilterScanOp &f = plan.filter;
-        for (size_t i = 0; i < delta_rows; ++i) {
-            const storage::Document &doc = delta->doc(i);
-            countRows(1);
-            countDelta();
-            if (doc.attrs.empty())
-                continue; // all-NULL document: never stored (omission)
-            bool hit = false;
-            switch (f.mode) {
-              case FilterMode::Presence:
-                // Presence union; the IS NULL planner path lands here
-                // when the column is absent from every partition, so
-                // honor the NULL test against the document.
-                hit = c.op != CondOp::IsNull ||
-                      isNull(doc.slotOf(c.attr));
-                break;
-              case FilterMode::NullScan:
-                hit = isNull(doc.slotOf(c.attr));
-                break;
-              case FilterMode::AnyEq:
-                for (AttrId a : c.anyAttrs)
-                    if (c.matches(doc.slotOf(a))) {
-                        hit = true;
-                        break;
-                    }
-                break;
-              case FilterMode::ColumnPredicate:
-              case FilterMode::Empty:
-                if (c.op == CondOp::AnyEq) {
-                    for (AttrId a : c.anyAttrs)
-                        if (c.matches(doc.slotOf(a))) {
-                            hit = true;
-                            break;
-                        }
-                } else {
-                    hit = c.matches(doc.slotOf(c.attr));
-                }
-                break;
-            }
-            if (hit)
-                m.push_back(doc.oid);
-        }
-    }
-
   public:
     ResultSet
     join(const Query &q)
@@ -387,22 +263,12 @@ class Exec
         // Build side: left records passing the WHERE clause, keyed by
         // the left join attribute.  (The WHERE scan morselizes; the
         // build/probe/materialize phases stay on the caller's thread.)
-        // The sorted match list splits at the delta's first oid: base
-        // matches read the bound build column, delta matches read the
-        // document directly.
         std::vector<int64_t> left = matches(q);
-        size_t nbase = left.size();
-        if (deltaActive())
-            nbase = static_cast<size_t>(
-                std::lower_bound(left.begin(), left.end(),
-                                 delta->firstOid()) -
-                left.begin());
         std::unordered_multimap<Slot, int64_t> build;
         if (jn.buildTable >= 0) {
             const Table &t = db.table(jn.buildTable);
             Cursor cursor;
-            for (size_t i = 0; i < nbase; ++i) {
-                int64_t oid = left[i];
+            for (int64_t oid : left) {
                 if (probe(t, cursor, oid) == storage::kNoRow)
                     continue;
                 Slot key = readCell(t, cursor.pos,
@@ -411,21 +277,12 @@ class Exec
                     build.emplace(key, oid);
             }
         }
-        for (size_t i = nbase; i < left.size(); ++i) {
-            const storage::Document &doc =
-                delta->doc(static_cast<size_t>(left[i] -
-                                               delta->firstOid()));
-            Slot key = doc.slotOf(q.joinLeftAttr);
-            if (!isNull(key))
-                build.emplace(key, left[i]);
-        }
 
         ResultSet rs;
         if (build.empty())
             return rs;
 
-        // Probe side: scan the right join column, then the delta tail
-        // (whose oids all sort after the scan's — fold order again).
+        // Probe side: scan the right join column.
         std::vector<std::pair<int64_t, int64_t>> pairs;
         if (jn.probeTable >= 0) {
             const Table &rt = db.table(jn.probeTable);
@@ -444,35 +301,12 @@ class Exec
                     pairs.emplace_back(it->second, roid);
             }
         }
-        if (deltaActive()) {
-            DVP_TRACE_SPAN(dprobe_span, "scan", "delta join probe");
-            for (size_t i = 0; i < delta_rows; ++i) {
-                const storage::Document &doc = delta->doc(i);
-                countRows(1);
-                countDelta();
-                Slot key = doc.slotOf(q.joinRightAttr);
-                if (isNull(key))
-                    continue;
-                auto [lo, hi] = build.equal_range(key);
-                for (auto it = lo; it != hi; ++it)
-                    pairs.emplace_back(it->second, doc.oid);
-            }
-        }
 
         // SELECT *: materialize both full records for every pair (this
         // retrieval is what stresses the column layout's TLB, §VI-B).
         DVP_TRACE_SPAN(retrieve_span, "retrieve", "join materialize");
         for (auto [loid, roid] : pairs) {
             for (int64_t oid : {loid, roid}) {
-                if (deltaActive() && oid >= delta->firstOid()) {
-                    const storage::Document &doc = delta->doc(
-                        static_cast<size_t>(oid - delta->firstOid()));
-                    countTouch();
-                    for (const auto &[a, s] : doc.attrs)
-                        if (!isNull(s))
-                            rs.checksum ^= cellDigest(a, s);
-                    continue;
-                }
                 for (size_t ti = 0; ti < db.tableCount(); ++ti) {
                     const Table &t = db.table(ti);
                     size_t pos = t.lowerBound(oid);
@@ -512,13 +346,6 @@ class Exec
     size_t threads;     ///< lane cap for this query (1 = serial)
     size_t morsel_rows; ///< driving-table rows per morsel
     bool vectorized;    ///< use the batched kernels (timing path only)
-
-    // Snapshot delta tail (live ingest, DESIGN.md §16).  Only the
-    // top-level Exec carries it: lanes fork without a delta, so the
-    // (serial) delta merge happens exactly once per query and work
-    // counters stay deterministic across thread counts.
-    const storage::DeltaStore *delta; ///< may be null
-    size_t delta_rows;                ///< immutable tail prefix length
 
     kernels::SelVec sel; ///< per-lane selection vector (reused per batch)
     std::vector<Slot> scratch_;     ///< block-decompress scratch (lazy)
@@ -567,18 +394,6 @@ class Exec
     countTouch()
     {
         ++obs_partition_touches;
-    }
-
-    bool
-    deltaActive() const
-    {
-        return delta != nullptr && delta_rows > 0;
-    }
-
-    void
-    countDelta()
-    {
-        ++obs_delta_rows;
     }
 
     void
@@ -1309,48 +1124,6 @@ class Exec
         }
         sink.out.checksum ^= checksum;
     }
-
-    /**
-     * Retrieve @p count matched delta oids (all >= firstOid) from the
-     * row-major tail into @p sink.  Mirrors retrieveRange's two modes:
-     * SELECT * scatters the document over the bind-width output
-     * (digesting every non-null cell, even past the width); an
-     * explicit list reads just the plan's output attributes.
-     */
-    template <class Sink>
-    void
-    retrieveDelta(const int64_t *matches, size_t count, Sink &sink)
-    {
-        if (count == 0)
-            return;
-        const DeltaScanOp &op = plan.delta;
-        for (size_t m = 0; m < count; ++m) {
-            size_t i = static_cast<size_t>(matches[m] -
-                                           delta->firstOid());
-            invariant(i < delta_rows, "match beyond the delta snapshot");
-            const storage::Document &doc = delta->doc(i);
-            countTouch();
-            countDelta();
-            if (op.selectAll) {
-                sink.begin(plan.catalogWidth);
-                for (const auto &[a, s] : doc.attrs) {
-                    if (a < plan.catalogWidth)
-                        sink.cell(a, s);
-                    if (!isNull(s))
-                        sink.out.checksum ^= cellDigest(a, s);
-                }
-            } else {
-                sink.begin(op.outWidth);
-                for (size_t j = 0; j < op.attrs.size(); ++j) {
-                    Slot s = doc.slotOf(op.attrs[j]);
-                    sink.cell(j, s);
-                    if (!isNull(s))
-                        sink.out.checksum ^= cellDigest(op.attrs[j], s);
-                }
-            }
-            sink.end(doc.oid);
-        }
-    }
 };
 
 /**
@@ -1386,7 +1159,6 @@ fillStats(QueryStats &s, const Exec<NullTracer> &exec,
     s.blocksSkipped = exec.obs_blocks_skipped;
     s.matches = exec.obs_matches;
     s.rowsOut = rs.rowCount();
-    s.deltaRows = exec.obs_delta_rows;
     s.morsels = exec.obs_morsels;
     for (size_t i = 0; i < 4; ++i)
         s.compressedEval[i] = exec.obs_compressed[i];
@@ -1426,8 +1198,7 @@ Executor::run(const Query &q, QueryStats *stats)
     const PhysicalPlan *plan = bound(q, keep, local, &cache_hit);
     auto t1 = std::chrono::steady_clock::now();
     Exec<NullTracer> exec(*db, *plan, NullTracer{}, threads_,
-                          morsel_rows, vectorized_, delta_,
-                          delta_rows_);
+                          morsel_rows, vectorized_);
     ResultSet rs = ops::runQuery(exec, q);
     auto ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -1462,8 +1233,6 @@ Executor::run(const Query &q, perf::MemoryHierarchy &mh)
     // they cannot produce the paper's address trace.
     invariant(!db->compressed(),
               "simulated traces require an uncompressed database");
-    invariant(delta_ == nullptr || delta_rows_ == 0,
-              "simulated traces require an empty delta");
     std::shared_ptr<const PhysicalPlan> keep;
     PhysicalPlan local;
     const PhysicalPlan *plan = bound(q, keep, local);
@@ -1481,8 +1250,7 @@ Executor::execute(const PhysicalPlan &plan, const Query &q,
     DVP_TRACE_SPAN(query_span, "query", q.name.c_str());
     auto t0 = std::chrono::steady_clock::now();
     Exec<NullTracer> exec(*db, plan, NullTracer{}, threads_,
-                          morsel_rows, vectorized_, delta_,
-                          delta_rows_);
+                          morsel_rows, vectorized_);
     ResultSet rs = ops::runQuery(exec, q);
     auto ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -38,7 +38,6 @@
 #include "engine/query.hh"
 #include "engine/query_stats.hh"
 #include "engine/tracer.hh"
-#include "storage/delta.hh"
 
 namespace dvp::engine
 {
@@ -97,23 +96,6 @@ class Executor
     void setPlanCache(PlanCache *cache) { plan_cache = cache; }
 
     /**
-     * Merge the first @p rows rows of @p delta — the immutable tail
-     * prefix of an engine snapshot (DESIGN.md §16) — into every scan.
-     * Delta oids sort strictly after every base oid, so merged results
-     * are exactly what a fold of those rows into the partitions would
-     * produce, in the same order.  The caller keeps @p delta alive for
-     * the executor's lifetime (the engine holds it via its snapshot
-     * handle).  Null (the default) detaches.  The simulation overload
-     * refuses a non-empty delta: the paper's traced figures model the
-     * sealed partitions only.
-     */
-    void setDelta(const storage::DeltaStore *delta, size_t rows)
-    {
-        delta_ = delta;
-        delta_rows_ = delta == nullptr ? 0 : rows;
-    }
-
-    /**
      * Execute on the timing path (no simulation overhead).  @p stats,
      * when non-null, receives per-query execution statistics filled
      * from the same merged lane counters that feed the dvp_* metrics
@@ -151,8 +133,6 @@ class Executor
     size_t morsel_rows = kDefaultMorselRows;
     bool vectorized_ = true;
     PlanCache *plan_cache = nullptr;
-    const storage::DeltaStore *delta_ = nullptr;
-    size_t delta_rows_ = 0;
 };
 
 } // namespace dvp::engine

@@ -144,22 +144,6 @@ bindRetrieve(const Database &db, const Query &q, IndexRetrieveOp &op)
     }
 }
 
-/**
- * Delta-tail view of a Select (or an Aggregate's selection sub-query):
- * unlike the partition operators, *every* projected attribute appears —
- * an attribute absent from the layout can still be present in a
- * delta-resident document, and folding must not change results.
- */
-void
-bindDelta(const Query &q, DeltaScanOp &op)
-{
-    op.selectAll = q.selectAll;
-    if (q.selectAll)
-        return; // dense rows: width comes from the plan's catalogWidth
-    op.attrs = q.projected;
-    op.outWidth = q.projected.size();
-}
-
 void
 bindJoin(const Database &db, const Query &q, HashSelfJoinOp &op)
 {
@@ -261,12 +245,10 @@ bindPlan(const Database &db, const Query &q)
     switch (q.kind) {
       case QueryKind::Project:
         bindProject(db, q, plan.project);
-        plan.delta.attrs = plan.project.attrs;
         break;
       case QueryKind::Select:
         bindFilter(db, q.cond, plan.filter);
         bindRetrieve(db, q, plan.retrieve);
-        bindDelta(q, plan.delta);
         break;
       case QueryKind::Aggregate: {
         // Bound against the selection sub-query the fold will run.
@@ -274,7 +256,6 @@ bindPlan(const Database &db, const Query &q)
         bindFilter(db, sub.cond, plan.filter);
         bindRetrieve(db, sub, plan.retrieve);
         plan.aggregate.groupCol = ops::aggregateGroupColumn(sub);
-        bindDelta(sub, plan.delta);
         break;
       }
       case QueryKind::Join:
@@ -400,23 +381,6 @@ PhysicalPlan::describe(const Database &db) const
         std::snprintf(line, sizeof(line),
                       "  BulkInsert partitions=%zu\n", db.tableCount());
         out += line;
-        break;
-    }
-    // The delta-tail view (merged only when the executor carries a
-    // non-empty delta snapshot; a no-op against a quiesced engine).
-    switch (kind) {
-      case QueryKind::Project:
-      case QueryKind::Select:
-      case QueryKind::Aggregate:
-        if (delta.selectAll)
-            std::snprintf(line, sizeof(line), "  DeltaScan[*]\n");
-        else
-            std::snprintf(line, sizeof(line), "  DeltaScan cols=%zu\n",
-                          delta.attrs.size());
-        out += line;
-        break;
-      case QueryKind::Join:
-      case QueryKind::Insert:
         break;
     }
     return out;

@@ -112,22 +112,6 @@ struct BulkInsertOp
 {
 };
 
-/**
- * Delta-tail scan: how the executor evaluates the query over the
- * row-major DeltaStore installed next to the base partitions (live
- * ingest, DESIGN.md §16).  Delta rows are encoded Documents, so the
- * node pre-resolves only the *attribute* view of the query — output
- * attributes in row order and the explicit-projection width; partition
- * locations do not apply.  Predicate literals flow in from the Query
- * at execution time, exactly like the partition operators above.
- */
-struct DeltaScanOp
-{
-    bool selectAll = false;
-    std::vector<storage::AttrId> attrs; ///< output attrs, row order
-    size_t outWidth = 0;                ///< explicit mode: row width
-};
-
 /** A bound operator tree for one query template on one Database. */
 struct PhysicalPlan
 {
@@ -155,13 +139,6 @@ struct PhysicalPlan
     GroupAggregateOp aggregate;
     HashSelfJoinOp join;
     BulkInsertOp insert;
-
-    /**
-     * Delta-tail view of the same query; consulted by every kind when
-     * the executor carries a non-empty delta snapshot, ignored (and
-     * absent from describe()) otherwise.
-     */
-    DeltaScanOp delta;
 
     /** Multi-line human-readable dump (EXPLAIN's body). */
     std::string describe(const Database &db) const;

@@ -30,7 +30,6 @@ PlanCache::bind(const Database &db, const Query &q, bool *hit)
         if (it != entries.end()) {
             const PhysicalPlan &p = *it->second.plan;
             if (fresh(p, db, key)) {
-                ++st.hits;
                 ++it->second.uses;
                 DVP_COUNTER_INC("dvp_plan_cache_hits_total");
                 if (hit != nullptr)
@@ -40,7 +39,6 @@ PlanCache::bind(const Database &db, const Query &q, bool *hit)
             if (p.epoch <= db.epoch()) {
                 // Stale (or a signature collision): evict eagerly.
                 entries.erase(it);
-                ++st.invalidations;
                 DVP_COUNTER_INC("dvp_plan_cache_invalidations_total");
             } else {
                 // The entry was bound against a *newer* database: this
@@ -49,7 +47,6 @@ PlanCache::bind(const Database &db, const Query &q, bool *hit)
                 newer_epoch_cached = true;
             }
         }
-        ++st.misses;
         DVP_COUNTER_INC("dvp_plan_cache_misses_total");
     }
 
@@ -75,13 +72,6 @@ PlanCache::peek(const Database &db, const Query &q, uint64_t *uses) const
     if (uses != nullptr)
         *uses = it->second.uses;
     return it->second.plan;
-}
-
-PlanCache::Stats
-PlanCache::stats() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return st;
 }
 
 size_t

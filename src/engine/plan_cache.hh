@@ -32,17 +32,10 @@ namespace dvp::engine
 class PlanCache
 {
   public:
-    struct Stats
-    {
-        uint64_t hits = 0;
-        uint64_t misses = 0;        ///< lookups that had to bind
-        uint64_t invalidations = 0; ///< stale entries evicted
-    };
-
     /**
      * The bound plan for @p q against @p db: the cached plan when it is
      * fresh (same epoch, layout fingerprint, catalog width, template
-     * key), a newly bound one otherwise.  Also exported as the
+     * key), a newly bound one otherwise.  Every lookup counts in the
      * dvp_plan_cache_{hits,misses,invalidations}_total counters.
      * @p hit, when non-null, receives whether the lookup was served
      * from cache (per-query plan provenance for EXPLAIN ANALYZE).
@@ -61,7 +54,6 @@ class PlanCache
     peek(const Database &db, const Query &q,
          uint64_t *uses = nullptr) const;
 
-    Stats stats() const;
     size_t size() const;
     void clear();
 
@@ -77,7 +69,6 @@ class PlanCache
 
     mutable std::mutex mu;
     std::unordered_map<uint64_t, Entry> entries;
-    Stats st;
 };
 
 } // namespace dvp::engine

@@ -31,7 +31,6 @@ QueryStats::summary() const
         {"blocks_skipped", blocksSkipped},
         {"matches", matches},
         {"rows_out", rowsOut},
-        {"delta_rows", deltaRows},
         {"compressed_rle", compressedEval[0]},
         {"compressed_pack", compressedEval[1]},
         {"compressed_raw", compressedEval[2]},

@@ -47,7 +47,6 @@ struct QueryStats
     uint64_t blocksSkipped = 0;    ///< zone-map blocks skipped
     uint64_t matches = 0;          ///< WHERE-clause matching oids
     uint64_t rowsOut = 0;          ///< result rows returned
-    uint64_t deltaRows = 0;        ///< delta-store rows merged by scans
 
     /** Compressed-eval answers by kernels::CompressedPath value. */
     uint64_t compressedEval[4] = {0, 0, 0, 0};

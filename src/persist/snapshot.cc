@@ -368,11 +368,11 @@ deserialize(const std::string &bytes)
             }
             parts.push_back(std::move(attrs));
         }
-        // No full-coverage requirement: attributes discovered by
-        // INSERTs after the last layout swap live only in the delta,
-        // so a checkpoint cut legitimately carries a layout covering
-        // a strict subset of the catalog (restore re-deltas the docs
-        // beyond baseDocs, which are the only ones referencing them).
+        // No full-coverage requirement: images written before ingest
+        // grew the layout in place carry a layout covering a strict
+        // subset of the catalog (only docs beyond baseDocs reference
+        // the rest, and restore appends those the way ingest does,
+        // covering the catalog first).
         out.layout = layout::Layout(std::move(parts));
     } else if (has_layout != 0) {
         return fail("corrupt layout flag");

@@ -20,9 +20,10 @@
  * Rev 1 ("DVPSNAP1") is the same without the meta block and trailing
  * CRC; deserialize still reads it (meta comes back empty).  The meta
  * block is what lets a durability checkpoint cut round-trip exactly:
- * baseDocs marks where the folded base ends and unfolded DeltaStore
- * rows begin inside docs, epoch is the layout epoch at the cut, and
- * walLsn is the last WAL record folded into the image.
+ * baseDocs counts the docs the cut's layout held (recovery bulk-builds
+ * docs[0, baseDocs) and appends the rest the way ingest does), epoch
+ * is the layout epoch at the cut, and walLsn is the last WAL record
+ * folded into the image.
  *
  * Strings are u32 length + bytes.  The writer buffers the whole image
  * and writes once; the reader validates sizes and fails cleanly on
@@ -47,7 +48,7 @@ namespace dvp::persist
 struct SnapshotMeta
 {
     uint64_t epoch = 0;    ///< layout epoch at the cut
-    uint64_t baseDocs = 0; ///< docs[0, baseDocs) are the folded base
+    uint64_t baseDocs = 0; ///< docs[0, baseDocs) are in the partitions
     uint64_t walLsn = 0;   ///< last WAL LSN folded into this image
 };
 

@@ -567,16 +567,12 @@ Server::buildStats()
 
     // What is not a metric: single-owner values read where they live.
     body.entries.emplace_back("inflight", inflight());
-    {
-        // One consistent cut: base partitions plus the delta-store
-        // prefix visible at this instant.  "docs" counts everything a
+    engine->read([&](const engine::Database &db) {
+        // One cut under the engine lock: "docs" counts everything a
         // query started now would see.
-        adaptive::Snapshot snap = engine->snapshotFull();
-        body.entries.emplace_back("docs",
-                                  snap.base->docCount() +
-                                      snap.deltaRows);
-        body.entries.emplace_back("layout_epoch", snap.epoch);
-    }
+        body.entries.emplace_back("docs", db.docCount());
+        body.entries.emplace_back("layout_epoch", db.epoch());
+    });
     if (durability::Manager *dur = engine->durability()) {
         body.entries.emplace_back("wal_appended_lsn",
                                   dur->wal()->appendedLsn());
@@ -749,8 +745,9 @@ Server::executeTask(Task &task)
             std::string text = buf.str();
 
             // Tape-parse in parallel lanes, then ingest the flats in
-            // one batch so a parse error keeps the old all-or-nothing
-            // contract (no partial load reaches the delta store).
+            // one batch: a parse error appends nothing, and readers see
+            // either none or all of the file (the batch holds the
+            // engine lock exclusive).
             engine::LoadOptions opt;
             opt.threads = cfg.loadThreads == 0 ? 1 : cfg.loadThreads;
             opt.timeStages = true;
@@ -798,25 +795,13 @@ Server::executeTask(Task &task)
             detail = trace_detail;
         }
         DVP_TRACE_SPAN(exec_span, "execute", detail);
-        if (looksLikeLoad(task.sql)) {
-            // Bulk ingest is the one statement kind that still takes
-            // the lock exclusively.
-            std::unique_lock<std::shared_mutex> lock(statement_mu);
-            uint64_t t0 = nowNs();
-            r = sql::runStatement(*engine, task.sql, load,
-                                  cfg.allowInsert);
-            // runStatement leaves seconds at 0 for Message results;
-            // stamp the LOAD wall time so clients see execNs and the
-            // slow-query threshold applies to bulk ingest too.
+        uint64_t t0 = nowNs();
+        r = sql::runStatement(*engine, task.sql, load, cfg.allowInsert);
+        // runStatement leaves seconds at 0 for Message results; stamp
+        // the LOAD wall time so clients see execNs and the slow-query
+        // threshold applies to bulk ingest too.
+        if (looksLikeLoad(task.sql))
             r.seconds = static_cast<double>(nowNs() - t0) / 1e9;
-        } else {
-            // Queries and INSERTs share: the engine snapshots an
-            // (epoch, base, delta-prefix) cut per statement, so a
-            // concurrent append never changes what a reader sees.
-            std::shared_lock<std::shared_mutex> lock(statement_mu);
-            r = sql::runStatement(*engine, task.sql, load,
-                                  cfg.allowInsert);
-        }
     }
 
     // Encode stage: digest + row encode + frame build, for errors too,

@@ -12,19 +12,18 @@
  *    admits QUERY frames into a bounded queue.
  *  - A pool of worker threads pops admitted statements, executes them
  *    through AdaptiveEngine::execute (morsel-parallel, plan-cached,
- *    epoch-snapshotted — a background repartition can swap the layout
- *    underneath an open connection and in-flight queries keep their
- *    snapshot), serializes the result, and writes the response frame.
+ *    under the engine's shared lock — a background repartition swaps
+ *    the layout between two statements of an open connection, never
+ *    inside one), serializes the result, and writes the response
+ *    frame.
  *    Each session's write side is guarded by a per-session mutex so a
  *    worker response can never interleave with an event-loop reject.
  *
  * Backpressure: QUERY frames past the Config::maxInflight watermark
  * (queued + executing) are rejected immediately with a typed
- * SERVER_BUSY error; the connection stays usable.  Statements execute
- * under a shared/exclusive statement lock: queries AND INSERTs share
- * (the engine's epoch snapshot + delta store give every reader a
- * consistent cut, so writers never block readers), only bulk LOAD
- * DATA is exclusive.
+ * SERVER_BUSY error; the connection stays usable.  The server adds no
+ * statement lock of its own: the engine's reader/writer lock orders
+ * queries against INSERT and LOAD batches (DESIGN.md §16).
  *
  * Graceful drain: requestStop() (directly, via stop(), or from the
  * SIGINT/SIGTERM handlers) stops accepting, answers new QUERY frames
@@ -47,7 +46,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -238,14 +236,6 @@ class Server
     std::condition_variable queue_cv;
     std::deque<Task> queue;
     bool workers_quit = false;
-
-    /**
-     * Statement lock: queries and INSERTs take it shared, LOAD DATA
-     * exclusive.  The engine's own locking covers layout swaps and
-     * per-document appends (snapshot + delta store); this additionally
-     * keeps bulk ingest from starving an open cursor's decode pass.
-     */
-    std::shared_mutex statement_mu;
 
     std::atomic<size_t> inflight_{0};
     std::atomic<bool> running_{false};

@@ -15,15 +15,15 @@ runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
              const LoadHandler &load, bool allowInsert)
 {
     RunResult res;
-    std::shared_ptr<engine::Database> db = eng.snapshot();
+    const engine::DataSet &data = eng.snapshot()->data();
 
     ParseResult parsed;
     {
         // Parsing resolves names against the live catalog/dictionary,
         // which a concurrent INSERT grows: hold the DataSet read lock
         // for the duration.
-        auto lock = db->data().readLock();
-        parsed = parse(text, db->data());
+        auto lock = data.readLock();
+        parsed = parse(text, data);
     }
     if (!parsed.ok) {
         res.errorKind = RunResult::Error::Parse;
@@ -134,18 +134,21 @@ runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
                 eng.execute(parsed.query, &res.stats);
             res.seconds = t.seconds();
             res.hasStats = true;
-            // The snapshot may have been swapped by the execution's own
-            // repartition trigger; render against the epoch that ran.
-            std::shared_ptr<engine::Database> ran =
-                res.stats.planEpoch == db->epoch() ? db
-                                                   : eng.snapshot();
-            res.message = std::string(head) +
-                          explainAnalyze(*ran, parsed.query, res.stats,
-                                         rows);
+            // Render against the live database under the engine's read
+            // lock; the header names the epoch that actually ran.
+            res.message =
+                std::string(head) +
+                eng.read([&](const engine::Database &db) {
+                    return explainAnalyze(db, parsed.query, res.stats,
+                                          rows);
+                });
             return res;
         }
         res.message = std::string(head) +
-                      explain(*db, parsed.query, &eng.planCache());
+                      eng.read([&](const engine::Database &db) {
+                          return explain(db, parsed.query,
+                                         &eng.planCache());
+                      });
         return res;
       }
 

@@ -82,11 +82,12 @@ struct RunResult
  * Parse and run one statement against @p eng.  Queries execute through
  * AdaptiveEngine::execute (feeding workload statistics and possibly
  * triggering a repartition); EXPLAIN renders the bound plan with
- * plan-cache provenance; LOAD dispatches to @p load; INSERT appends to
- * the engine's delta store (AdaptiveEngine::ingestBatch) — the ack
- * message carries the appended count, the post-append document count,
- * and the base epoch.  @p allowInsert false maps INSERT to a ReadOnly
- * error without touching the engine.
+ * plan-cache provenance under the engine's read lock; LOAD dispatches
+ * to @p load; INSERT appends to the engine's partitions
+ * (AdaptiveEngine::ingestFlatBatch) — the ack message carries the
+ * appended count, the post-append document count, and the epoch.
+ * @p allowInsert false maps INSERT to a ReadOnly error without
+ * touching the engine.
  */
 RunResult runStatement(adaptive::AdaptiveEngine &eng,
                        const std::string &text,

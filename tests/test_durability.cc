@@ -450,6 +450,38 @@ TEST(Manager, FreshOpenRefusesStraySegments)
     EXPECT_NE(err.find("no manifest"), std::string::npos) << err;
 }
 
+TEST(Manager, OneOwnerPerDataDirectory)
+{
+    // Two Managers appending to one WAL segment would corrupt it: the
+    // second opener must fail by name, and succeed once the first is
+    // gone (the flock dies with its owner, so no stale lock remains).
+    TempDir dir;
+    Config dcfg;
+    dcfg.dir = dir.path;
+    dcfg.fsyncPolicy = FsyncPolicy::None;
+    auto first = std::make_unique<Manager>(dcfg);
+    engine::DataSet d1;
+    RecoveryInfo i1;
+    ASSERT_EQ(first->open(d1, i1), "");
+
+    {
+        Manager second(dcfg);
+        engine::DataSet d2;
+        RecoveryInfo i2;
+        std::string err = second.open(d2, i2);
+        EXPECT_NE(err.find("locked by another process"), std::string::npos)
+            << err;
+        EXPECT_TRUE(d2.docs.empty());
+    }
+
+    first.reset();
+    Manager third(dcfg);
+    engine::DataSet d3;
+    RecoveryInfo i3;
+    EXPECT_EQ(third.open(d3, i3), "");
+    EXPECT_TRUE(i3.recovered);
+}
+
 TEST(Manager, CheckpointRecoverBitIdenticalDigests)
 {
     adaptive::Params params = quietParams();
@@ -472,7 +504,7 @@ TEST(Manager, CheckpointRecoverBitIdenticalDigests)
         ASSERT_EQ(ack.totalDocs, 320u);
 
         before = elevenDigests(*w.engine, w.data, w.cfg);
-        epoch_before = w.engine->snapshotFull().epoch;
+        epoch_before = w.engine->snapshot()->epoch();
         docs_before = ack.totalDocs;
         // Keep the directory alive past the TempDir destructor by
         // renaming it out from under w before teardown.
@@ -484,22 +516,24 @@ TEST(Manager, CheckpointRecoverBitIdenticalDigests)
     EXPECT_EQ(r.data.docs.size(), docs_before);
     EXPECT_EQ(r.info.snapshotDocs, 300u);
     EXPECT_EQ(r.info.replayedDocs, 20u);
-    EXPECT_EQ(r.engine->snapshotFull().epoch, epoch_before);
+    EXPECT_EQ(r.engine->snapshot()->epoch(), epoch_before);
     EXPECT_EQ(elevenDigests(*r.engine, r.data, ncfg), before);
     fs::remove_all(dirpath);
 }
 
-// A checkpoint cut taken while the delta holds attributes no layout
-// swap has folded yet carries a layout covering a strict subset of
-// the catalog.  That snapshot must round-trip: recovery rebuilds the
-// base from the partial layout and re-deltas the newer docs, and the
-// delta-only attributes stay queryable.  (Regression: deserialize
-// used to reject such images as "uncovered attribute".)
-TEST(Manager, CheckpointWithDeltaOnlyAttributesRecovers)
+// INSERTs that introduce attributes the initial layout never had grow
+// the live layout in place: each new attribute gets a singleton
+// partition, with no swap and no new epoch.  A restart must come back
+// to the same state whether the growth was captured by a checkpoint
+// ("a"/"s": the snapshot's layout carries their partitions) or lives
+// only in the WAL tail ("b": replay appends it the way ingest did):
+// the same epoch, the same layout fingerprint, the same digests.
+TEST(Manager, RestartAfterInPlaceGrowthRestoresEpochFingerprintDigests)
 {
-    adaptive::Params params = quietParams(); // no fold, no swap
+    adaptive::Params params = quietParams(); // no swap
     std::vector<uint64_t> before;
-    uint64_t tiny_before, epoch_before;
+    uint64_t tiny_before, epoch_before, fingerprint_before;
+    size_t tables_before;
     std::string dirpath;
     nobench::Config ncfg;
 
@@ -507,7 +541,8 @@ TEST(Manager, CheckpointWithDeltaOnlyAttributesRecovers)
                           const engine::DataSet &data) {
         engine::Query q;
         q.kind = engine::QueryKind::Project;
-        q.projected = {data.catalog.find("a"), data.catalog.find("s")};
+        q.projected = {data.catalog.find("a"), data.catalog.find("s"),
+                       data.catalog.find("b")};
         q.frequency = 1.0;
         return eng.execute(q).digest();
     };
@@ -516,19 +551,27 @@ TEST(Manager, CheckpointWithDeltaOnlyAttributesRecovers)
         DurableWorld w(120, params);
         dirpath = w.dir.path;
         ncfg = w.cfg;
+        uint64_t epoch0 = w.engine->snapshot()->epoch();
+        uint64_t fingerprint0 = w.engine->snapshot()->layoutFingerprint();
 
-        // "a"/"s" exist in no NoBench doc: after these ingests the
-        // catalog is wider than the (never-swapped) layout.
+        // "a"/"s" exist in no NoBench doc: the layout grows two
+        // singleton partitions and keeps its epoch.
         for (int i = 0; i < 3; ++i)
             ASSERT_EQ(w.engine->ingestBatch({tinyDoc(i)}).walError, "");
+        EXPECT_EQ(w.engine->snapshot()->epoch(), epoch0);
+        EXPECT_NE(w.engine->snapshot()->layoutFingerprint(), fingerprint0);
         CheckpointResult ck = w.mgr->checkpointNow();
         ASSERT_TRUE(ck.ok) << ck.error;
-        // One more acked ingest rides the WAL tail past the snapshot.
-        ASSERT_EQ(w.engine->ingestBatch({tinyDoc(3)}).walError, "");
+        // Past the snapshot: one more acked ingest, adding "b".
+        json::JsonValue doc = tinyDoc(3);
+        doc.set("b", json::JsonValue(int64_t{42}));
+        ASSERT_EQ(w.engine->ingestBatch({doc}).walError, "");
 
         before = elevenDigests(*w.engine, w.data, w.cfg);
         tiny_before = tinyProject(*w.engine, w.data);
-        epoch_before = w.engine->snapshotFull().epoch;
+        epoch_before = w.engine->snapshot()->epoch();
+        fingerprint_before = w.engine->snapshot()->layoutFingerprint();
+        tables_before = w.engine->snapshot()->tableCount();
         fs::rename(w.dir.path, w.dir.path + ".keep");
     }
     fs::rename(dirpath + ".keep", dirpath);
@@ -537,7 +580,10 @@ TEST(Manager, CheckpointWithDeltaOnlyAttributesRecovers)
     EXPECT_EQ(r.data.docs.size(), 124u);
     EXPECT_EQ(r.info.snapshotDocs, 123u);
     EXPECT_EQ(r.info.replayedDocs, 1u);
-    EXPECT_EQ(r.engine->snapshotFull().epoch, epoch_before);
+    EXPECT_EQ(r.engine->snapshot()->epoch(), epoch_before);
+    EXPECT_EQ(r.engine->snapshot()->layoutFingerprint(),
+              fingerprint_before);
+    EXPECT_EQ(r.engine->snapshot()->tableCount(), tables_before);
     EXPECT_EQ(elevenDigests(*r.engine, r.data, ncfg), before);
     EXPECT_EQ(tinyProject(*r.engine, r.data), tiny_before);
     fs::remove_all(dirpath);
@@ -548,16 +594,18 @@ TEST(Manager, RecoverAfterLayoutSwapRestoresEpochAndLayout)
     adaptive::Params params;
     params.background = false;
     params.adapt = true;
-    params.deltaFoldRows = 16; // fold (and Swap-log) quickly
+    params.window = 20;
+    params.changeThreshold = 0.4;
 
     std::vector<uint64_t> before;
-    uint64_t epoch_before, base_before;
+    uint64_t epoch_before, base_before, fingerprint_before;
     std::string dirpath;
     nobench::Config ncfg;
     {
         DurableWorld w(200, params);
         dirpath = w.dir.path;
         ncfg = w.cfg;
+        uint64_t epoch0 = w.engine->snapshot()->epoch();
 
         Rng rng(8);
         std::vector<json::JsonValue> batch;
@@ -566,15 +614,26 @@ TEST(Manager, RecoverAfterLayoutSwapRestoresEpochAndLayout)
         adaptive::IngestAck ack = w.engine->ingestBatch(batch);
         ASSERT_EQ(ack.walError, "");
 
-        // The fold ran synchronously: epoch advanced, delta drained,
-        // and a Swap record hit the WAL.
-        adaptive::Snapshot snap = w.engine->snapshotFull();
-        ASSERT_GT(snap.epoch, 1u);
-        ASSERT_EQ(snap.deltaRows, 0u);
-        epoch_before = snap.epoch;
-        base_before = snap.base->docCount();
-        params.adapt = false; // deterministic digest run
+        // A workload shift trips the change detector: the synchronous
+        // repartition swaps in a new epoch and logs a Swap record.
+        nobench::QuerySet qs(w.data, w.cfg);
+        Rng qrng(9);
+        for (int i = 0; i < 3 * static_cast<int>(params.window); ++i)
+            w.engine->execute(qs.instantiate(i % 3, qrng));
+        for (int i = 0; i < 6 * static_cast<int>(params.window) &&
+                        w.engine->adaptation().repartitions == 0;
+             ++i)
+            w.engine->execute(qs.instantiateShifted(
+                i % nobench::kNumTemplates, qrng));
+        ASSERT_GE(w.engine->adaptation().repartitions, 1u);
+        std::shared_ptr<engine::Database> db = w.engine->snapshot();
+        ASSERT_GT(db->epoch(), epoch0);
+        epoch_before = db->epoch();
+        base_before = db->docCount();
+        fingerprint_before = db->layoutFingerprint();
         before = elevenDigests(*w.engine, w.data, w.cfg);
+        // The digest run itself must not have swapped again.
+        ASSERT_EQ(w.engine->snapshot()->epoch(), epoch_before);
         fs::rename(w.dir.path, w.dir.path + ".keep");
     }
     fs::rename(dirpath + ".keep", dirpath);
@@ -583,9 +642,10 @@ TEST(Manager, RecoverAfterLayoutSwapRestoresEpochAndLayout)
     ASSERT_TRUE(r.info.layout.has_value());
     EXPECT_EQ(r.info.epoch, epoch_before);
     EXPECT_EQ(r.info.baseDocs, base_before);
-    adaptive::Snapshot snap = r.engine->snapshotFull();
-    EXPECT_EQ(snap.epoch, epoch_before);
-    EXPECT_EQ(snap.base->docCount(), base_before);
+    std::shared_ptr<engine::Database> db = r.engine->snapshot();
+    EXPECT_EQ(db->epoch(), epoch_before);
+    EXPECT_EQ(db->docCount(), base_before);
+    EXPECT_EQ(db->layoutFingerprint(), fingerprint_before);
     nobench::Config cfg = ncfg;
     EXPECT_EQ(elevenDigests(*r.engine, r.data, cfg), before);
     fs::remove_all(dirpath);

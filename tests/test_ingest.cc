@@ -1,16 +1,15 @@
 /**
  * @file
- * Tests for live ingest (DESIGN.md §16): the row-major DeltaStore,
- * epoch-versioned snapshot isolation, delta-merged scans, the
- * LSM-style fold that drains the delta at a repartition, the data-
- * drift side of the change detector, the SQL INSERT surface, and the
- * wire-protocol write path with its allowInsert gate.
+ * Tests for live ingest (DESIGN.md §16): in-place appends to the live
+ * partitions, singleton partitions for attributes the layout lacks,
+ * the engine lock that orders ingest against queries and swaps, the
+ * data-drift side of the change detector, the SQL INSERT surface, and
+ * the wire-protocol write path with its allowInsert gate.
  *
- * The load-bearing invariant throughout: a query's result is a
- * function of its snapshot cut alone.  Digests must come out
- * bit-identical whether the visible documents sit in the delta tail,
- * were folded into fresh partitions, or anything in between — at
- * every thread count, plain and compressed.
+ * The load-bearing invariant throughout: after every INSERT the engine
+ * answers bit-identically to a fresh bulk build over the same
+ * documents — at every thread count, plain and compressed, across new
+ * attributes and across the append that seals a compressed block.
  */
 
 #include <gtest/gtest.h>
@@ -27,11 +26,10 @@
 #include "engine/executor.hh"
 #include "json/parser.hh"
 #include "nobench/generator.hh"
-#include "perf/memory_hierarchy.hh"
+#include "nobench/queries.hh"
 #include "server/server.hh"
 #include "sql/run.hh"
 #include "stats/change_detector.hh"
-#include "storage/delta.hh"
 
 namespace dvp
 {
@@ -42,7 +40,7 @@ using adaptive::AdaptiveEngine;
 using adaptive::Params;
 
 // ---------------------------------------------------------------------
-// DeltaStore.
+// ChangeDetector: ingest-driven data drift.
 // ---------------------------------------------------------------------
 
 storage::Document
@@ -54,60 +52,6 @@ intDoc(int64_t oid, std::vector<std::pair<storage::AttrId, storage::Slot>>
     d.attrs = std::move(attrs);
     return d;
 }
-
-TEST(DeltaStore, AppendReadBackAcrossChunks)
-{
-    storage::DeltaStore delta(100);
-    EXPECT_EQ(delta.firstOid(), 100);
-    EXPECT_EQ(delta.size(), 0u);
-    EXPECT_EQ(delta.bytes(), 0u);
-
-    // Cross two chunk boundaries so the directory's release-published
-    // chunks are exercised, not just the first.
-    const size_t n = storage::DeltaStore::kChunkRows * 2 + 37;
-    for (size_t i = 0; i < n; ++i) {
-        int64_t oid = delta.append(intDoc(
-            100 + static_cast<int64_t>(i),
-            {{1, static_cast<storage::Slot>(i)}, {3, 7}}));
-        EXPECT_EQ(oid, 100 + static_cast<int64_t>(i));
-    }
-    ASSERT_EQ(delta.size(), n);
-    EXPECT_GT(delta.bytes(), 0u);
-    for (size_t i = 0; i < n; i += 97) {
-        const storage::Document &d = delta.doc(i);
-        EXPECT_EQ(d.oid, 100 + static_cast<int64_t>(i));
-        EXPECT_EQ(d.slotOf(1), static_cast<storage::Slot>(i));
-        EXPECT_EQ(d.slotOf(3), 7);
-        EXPECT_TRUE(storage::isNull(d.slotOf(2)));
-    }
-}
-
-TEST(DeltaStore, ReadersSeeFixedPrefixDuringConcurrentAppends)
-{
-    storage::DeltaStore delta(0);
-    std::atomic<bool> done{false};
-    std::thread writer([&] {
-        for (int64_t i = 0; i < 20000; ++i)
-            delta.append(intDoc(i, {{1, i}}));
-        done.store(true, std::memory_order_release);
-    });
-    // Lock-free readers: load size() once, then every row below that
-    // prefix must already be fully published.
-    while (!done.load(std::memory_order_acquire)) {
-        size_t n = delta.size();
-        for (size_t i = 0; i < n; i += 251) {
-            const storage::Document &d = delta.doc(i);
-            ASSERT_EQ(d.oid, static_cast<int64_t>(i));
-            ASSERT_EQ(d.slotOf(1), static_cast<storage::Slot>(i));
-        }
-    }
-    writer.join();
-    EXPECT_EQ(delta.size(), 20000u);
-}
-
-// ---------------------------------------------------------------------
-// ChangeDetector: ingest-driven data drift.
-// ---------------------------------------------------------------------
 
 TEST(ChangeDetectorIngest, StableAttributeMixStaysQuiet)
 {
@@ -206,18 +150,17 @@ class IngestWorld : public ::testing::Test
     defaultParams()
     {
         Params prm;
-        prm.adapt = false;       // folds only, never a layout change
-        prm.background = false;  // deterministic inline folds
-        prm.deltaFoldRows = 0;   // tests opt into the size trigger
+        prm.adapt = false;      // never a layout change
+        prm.background = false; // deterministic inline repartitions
         return prm;
     }
 
     /**
-     * Reference digests: a serial, never-folding engine ingests docs
-     * one at a time; expected[k] is the (digest, checksum, rows) of
-     * kIngestScan with k ingested docs visible (1-based; index 0
-     * unused).  Every configuration under test must reproduce these
-     * exactly at the same cut.
+     * Reference digests: a serial engine ingests docs one at a time;
+     * expected[k] is the (digest, checksum, rows) of kIngestScan with
+     * k ingested docs visible (1-based; index 0 unused).  Every
+     * configuration under test must reproduce these exactly at the
+     * same cut.
      */
     struct Expected
     {
@@ -250,57 +193,6 @@ class IngestWorld : public ::testing::Test
 nobench::Config IngestWorld::cfg;
 engine::DataSet *IngestWorld::data = nullptr;
 
-// ---------------------------------------------------------------------
-// Snapshot isolation.
-// ---------------------------------------------------------------------
-
-TEST_F(IngestWorld, SnapshotPinsItsDeltaPrefix)
-{
-    World w;
-    for (int64_t k = 1; k <= 5; ++k)
-        w.engine->ingest(ingestDoc(k));
-
-    // The cut: base partitions + 5 delta rows.
-    adaptive::Snapshot snap = w.engine->snapshotFull();
-    EXPECT_EQ(snap.deltaRows, 5u);
-    EXPECT_EQ(snap.epoch, snap.base->epoch());
-
-    for (int64_t k = 6; k <= 10; ++k)
-        w.engine->ingest(ingestDoc(k));
-    EXPECT_EQ(w.engine->deltaRows(), 10u);
-
-    // A query through the held snapshot keeps seeing exactly the cut,
-    // no matter how much the writer appended since.
-    engine::Query q;
-    q.name = "ingest-scan";
-    q.kind = engine::QueryKind::Select;
-    q.selectAll = false;
-    q.cond.op = engine::CondOp::Between;
-    q.cond.attr = w.data.catalog.find("ingq");
-    ASSERT_NE(q.cond.attr, storage::kNoAttr);
-    q.cond.lo = 0;
-    q.cond.hi = 100000000;
-    q.projected = {q.cond.attr, w.data.catalog.find("ingv")};
-
-    engine::Executor held(*snap.base);
-    held.setDelta(snap.delta.get(), snap.deltaRows);
-    engine::ResultSet rs_held = held.run(q);
-    EXPECT_EQ(rs_held.rowCount(), 5u);
-
-    // The engine's own execute() runs against the current cut.
-    engine::ResultSet rs_now = w.engine->execute(q);
-    EXPECT_EQ(rs_now.rowCount(), 10u);
-
-    // And an executor over the full current prefix agrees with it bit
-    // for bit.
-    adaptive::Snapshot now = w.engine->snapshotFull();
-    engine::Executor cur(*now.base);
-    cur.setDelta(now.delta.get(), now.deltaRows);
-    engine::ResultSet rs_cur = cur.run(q);
-    EXPECT_EQ(rs_cur.digest(), rs_now.digest());
-    EXPECT_EQ(rs_cur.checksum, rs_now.checksum);
-}
-
 TEST_F(IngestWorld, IngestAcksCarryCountAndEpoch)
 {
     World w;
@@ -320,64 +212,204 @@ TEST_F(IngestWorld, IngestAcksCarryCountAndEpoch)
 }
 
 // ---------------------------------------------------------------------
-// Fold-state independence: pre-fold, mid-fold, post-fold digests.
+// In-place appends answer like a fresh bulk build.
 // ---------------------------------------------------------------------
 
-TEST_F(IngestWorld, DigestsIdenticalAcrossFoldStatesThreadsCompression)
+/** What a query answered: the digest contract's three numbers. */
+struct Answer
 {
-    constexpr size_t kDocs = 48;
-    std::vector<Expected> expected = referenceDigests(kDocs);
+    uint64_t digest = 0;
+    uint64_t checksum = 0;
+    size_t rows = 0;
 
+    explicit Answer(const engine::ResultSet &rs)
+        : digest(rs.digest()), checksum(rs.checksum), rows(rs.rowCount())
+    {
+    }
+
+    bool
+    operator==(const Answer &o) const
+    {
+        return digest == o.digest && checksum == o.checksum &&
+               rows == o.rows;
+    }
+};
+
+/** Q1-Q11 plus the ingest scan, bound against @p data's catalog. */
+std::vector<engine::Query>
+checkQueries(const engine::DataSet &data, const nobench::Config &cfg)
+{
+    std::vector<engine::Query> qs;
+    nobench::QuerySet set(data, cfg);
+    Rng rng(31);
+    for (int i = 0; i < nobench::kNumTemplates; ++i)
+        qs.push_back(set.instantiate(i, rng));
+    engine::Query scan;
+    scan.name = "ingest-scan";
+    scan.kind = engine::QueryKind::Select;
+    scan.cond.op = engine::CondOp::Between;
+    scan.cond.attr = data.catalog.find("ingq");
+    scan.cond.lo = 0;
+    scan.cond.hi = 100000000;
+    scan.projected = {scan.cond.attr, data.catalog.find("ingv"),
+                      data.catalog.find("ingw")};
+    qs.push_back(scan);
+    return qs;
+}
+
+/** Sealed compressed blocks across every table of @p db. */
+size_t
+sealedBlocks(const engine::Database &db)
+{
+    size_t n = 0;
+    for (size_t t = 0; t < db.tableCount(); ++t)
+        n += db.table(t).sealedBlocks();
+    return n;
+}
+
+TEST_F(IngestWorld, InPlaceAppendsMatchAFreshBulkBuild)
+{
     for (size_t threads : {1u, 2u, 4u, 8u}) {
         for (bool compress : {false, true}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " compress=" + std::to_string(compress));
             Params prm = defaultParams();
             prm.threads = threads;
             prm.compress = compress;
-            prm.deltaFoldRows = 16; // folds fire inline mid-run
+            prm.morselRows = 64; // small tables still morselize
             World w(prm);
+            const uint64_t epoch = w.engine->snapshot()->epoch();
+            const size_t tables0 = w.engine->snapshot()->tableCount();
 
-            for (size_t k = 1; k <= kDocs; ++k) {
-                w.engine->ingest(ingestDoc(static_cast<int64_t>(k)));
-                sql::RunResult r =
-                    sql::runStatement(*w.engine, kIngestScan);
-                ASSERT_TRUE(r.ok) << r.error;
-                EXPECT_EQ(r.rows.rowCount(), expected[k].rows)
-                    << "threads=" << threads
-                    << " compress=" << compress << " k=" << k;
-                EXPECT_EQ(r.rows.digest(), expected[k].digest)
-                    << "threads=" << threads
-                    << " compress=" << compress << " k=" << k;
-                EXPECT_EQ(r.rows.checksum, expected[k].checksum)
-                    << "threads=" << threads
-                    << " compress=" << compress << " k=" << k;
+            // The engine's answer must equal a serial executor over a
+            // fresh bulk build of every document, under the engine's
+            // (possibly grown) layout.
+            auto check = [&](const std::string &step) {
+                SCOPED_TRACE(step);
+                std::shared_ptr<engine::Database> live =
+                    w.engine->snapshot();
+                engine::Database fresh(w.data, live->layout(), "fresh");
+                engine::Executor ref(fresh);
+                for (const engine::Query &q : checkQueries(w.data, cfg)) {
+                    SCOPED_TRACE(q.name);
+                    EXPECT_TRUE(Answer(w.engine->execute(q)) ==
+                                Answer(ref.run(q)));
+                }
+            };
+
+            // Single INSERTs; the first one introduces ingq/ingv.
+            for (int64_t k = 1; k <= 6; ++k) {
+                w.engine->ingest(ingestDoc(k));
+                check("insert " + std::to_string(k));
             }
+            EXPECT_EQ(w.engine->snapshot()->tableCount(), tables0 + 2);
 
-            // The size trigger really fired: the delta was drained at
-            // least twice and the audit trail says why.
-            EXPECT_LT(w.engine->deltaRows(), kDocs);
-            EXPECT_GE(w.engine->adaptation().repartitions.load(), 2u);
-            uint64_t folded = 0;
-            bool fold_trigger = false;
-            for (const adaptive::AuditRecord &rec :
-                 w.engine->auditTrail()) {
-                folded += rec.deltaFolded;
-                fold_trigger |= rec.trigger == "delta-fold";
+            // A batch that introduces another attribute mid-stream.
+            std::vector<json::JsonValue> batch;
+            for (int64_t k = 7; k <= 9; ++k) {
+                json::JsonValue d = ingestDoc(k);
+                d.set("ingw", json::JsonValue(k * 11));
+                batch.push_back(std::move(d));
             }
-            EXPECT_GE(folded, prm.deltaFoldRows);
-            EXPECT_TRUE(fold_trigger);
+            w.engine->ingestBatch(batch);
+            check("new-attribute batch");
+            EXPECT_EQ(w.engine->snapshot()->tableCount(), tables0 + 3);
 
-            // Every document survived the folds.
-            sql::RunResult fin =
-                sql::runStatement(*w.engine, kIngestScan);
-            ASSERT_TRUE(fin.ok);
-            EXPECT_EQ(fin.rows.rowCount(), kDocs);
+            // A NoBench batch that carries the always-present tables
+            // past the next 2048-row boundary: compressed tables seal
+            // a block inside the append.
+            size_t sealed0 = sealedBlocks(*w.engine->snapshot());
+            size_t n = storage::kZoneRows -
+                       w.data.docs.size() % storage::kZoneRows + 16;
+            Rng rng(77);
+            std::vector<json::JsonValue> nb;
+            for (size_t i = 0; i < n; ++i)
+                nb.push_back(nobench::generateDoc(
+                    cfg, rng,
+                    static_cast<int64_t>(w.data.docs.size() + i)));
+            w.engine->ingestBatch(nb);
+            if (compress) {
+                EXPECT_GT(sealedBlocks(*w.engine->snapshot()), sealed0);
+            }
+            check("sealing batch");
+            w.engine->ingest(ingestDoc(10));
+            check("insert after the seal");
+
+            // Growth never swapped the database.
+            EXPECT_EQ(w.engine->snapshot()->epoch(), epoch);
+            EXPECT_EQ(w.engine->adaptation().repartitions.load(), 0u);
         }
     }
 }
 
+// Every ingested document carries an attribute no earlier one had,
+// while shifting query mixes keep background repartitions running.  A
+// document ingested while a swap's build runs must keep every cell:
+// the swap gives attributes born during the build singleton partitions
+// before it catches up, exactly as ingest would have.
+TEST_F(IngestWorld, AttributesBornDuringARepartitionKeepTheirCells)
+{
+    Params prm = defaultParams();
+    prm.adapt = true;
+    prm.background = true;
+    prm.window = 10;
+    prm.changeThreshold = 0.4;
+    World w(prm);
+    // Bound before the writer starts: binding reads the live catalog.
+    std::vector<engine::Query> mix;
+    {
+        nobench::QuerySet qs(w.data, cfg);
+        Rng rng(5);
+        for (int i = 0; i < 200; ++i)
+            mix.push_back((i / 20) % 2 ? qs.instantiateShifted(i % 11, rng)
+                                       : qs.instantiate(i % 3, rng));
+    }
+
+    constexpr int kDocs = 60;
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+        for (int k = 0; k < kDocs; ++k) {
+            char buf[64];
+            std::snprintf(buf, sizeof(buf), "{\"born%d\": %d}", k, k);
+            json::ParseResult r = json::parse(buf);
+            w.engine->ingest(r.value);
+        }
+        done.store(true, std::memory_order_release);
+    });
+    for (size_t i = 0; !done.load(std::memory_order_acquire) ||
+                       i < mix.size();
+         ++i)
+        w.engine->execute(mix[i % mix.size()]);
+    writer.join();
+    w.engine->quiesce();
+    EXPECT_GE(w.engine->adaptation().repartitions.load(), 1u);
+
+    engine::Query born;
+    born.name = "born";
+    born.kind = engine::QueryKind::Project;
+    for (int k = 0; k < kDocs; ++k)
+        born.projected.push_back(
+            w.data.catalog.find("born" + std::to_string(k)));
+    std::vector<engine::Query> qv = checkQueries(w.data, cfg);
+    qv.push_back(born);
+
+    std::shared_ptr<engine::Database> live = w.engine->snapshot();
+    EXPECT_EQ(live->layout().attrCount(), w.data.catalog.attrCount());
+    engine::Database fresh(w.data, live->layout(), "fresh");
+    engine::Executor ref(fresh);
+    EXPECT_EQ(ref.run(born).rowCount(), static_cast<size_t>(kDocs));
+    for (const engine::Query &q : qv) {
+        SCOPED_TRACE(q.name);
+        EXPECT_TRUE(Answer(w.engine->execute(q)) == Answer(ref.run(q)));
+    }
+    w.engine->quiesce();
+}
+
 // ---------------------------------------------------------------------
-// Randomized concurrency: writers never block readers, and every
-// reader result matches the reference digest for the cut it observed.
+// Randomized concurrency: a writer appends while readers spin back to
+// back (the writer-preferring engine lock must not starve it), and
+// every reader result matches the reference digest for the number of
+// documents it saw — a query never observes a half-appended batch.
 // ---------------------------------------------------------------------
 
 TEST_F(IngestWorld, ConcurrentInsertsAndQueriesStayConsistent)
@@ -388,8 +420,6 @@ TEST_F(IngestWorld, ConcurrentInsertsAndQueriesStayConsistent)
     for (size_t threads : {1u, 2u, 4u, 8u}) {
         Params prm = defaultParams();
         prm.threads = threads;
-        prm.background = true; // folds race the readers for real
-        prm.deltaFoldRows = 12;
         World w(prm);
 
         // Seed one doc so the scan's attributes exist for parsing,
@@ -446,41 +476,6 @@ TEST_F(IngestWorld, ConcurrentInsertsAndQueriesStayConsistent)
 }
 
 // ---------------------------------------------------------------------
-// Simulated traces exclude the delta by invariant.
-// ---------------------------------------------------------------------
-
-TEST_F(IngestWorld, SimulatedTracesRefuseANonEmptyDelta)
-{
-    World w;
-    w.engine->ingest(ingestDoc(1));
-    adaptive::Snapshot snap = w.engine->snapshotFull();
-    ASSERT_EQ(snap.deltaRows, 1u);
-
-    engine::Query q;
-    q.name = "sim";
-    q.kind = engine::QueryKind::Project;
-    q.projected = {w.data.catalog.find("ingq")};
-
-    // With an empty delta the traced path is untouched: same digest as
-    // the timing path, so the paper figures stay byte-identical.
-    engine::Executor plain(*snap.base);
-    perf::MemoryHierarchy mh;
-    engine::ResultSet traced = plain.run(q, mh);
-    engine::ResultSet timed = plain.run(q);
-    EXPECT_EQ(traced.digest(), timed.digest());
-
-    // A non-empty delta must refuse the simulation overload outright
-    // rather than silently tracing a superset of the sealed tables.
-#if GTEST_HAS_DEATH_TEST
-    GTEST_FLAG_SET(death_test_style, "threadsafe");
-    engine::Executor withDelta(*snap.base);
-    withDelta.setDelta(snap.delta.get(), snap.deltaRows);
-    perf::MemoryHierarchy mh2;
-    EXPECT_DEATH(withDelta.run(q, mh2), "empty delta");
-#endif
-}
-
-// ---------------------------------------------------------------------
 // Wire protocol: INSERT round-trip and the allowInsert gate.
 // ---------------------------------------------------------------------
 
@@ -521,12 +516,12 @@ TEST_F(IngestWorld, WireInsertRoundTrip)
     EXPECT_EQ(sel.digest, local.rows.digest());
     EXPECT_EQ(sel.checksum, local.rows.checksum);
 
-    // STATS reports the delta-inclusive doc count and the gauges.
+    // STATS counts the appended documents; the layout grew in place
+    // (singleton partitions for ingq/ingv) without a swap.
     client::Stats st = c.stats();
     ASSERT_TRUE(st.ok) << st.error;
     EXPECT_EQ(st.get("docs"), base_docs + 3);
-    EXPECT_EQ(st.get("delta_rows"), 3u);
-    EXPECT_GT(st.get("delta_bytes"), 0u);
+    EXPECT_EQ(st.get("layout_epoch"), w.engine->snapshot()->epoch());
 
     // Malformed JSON in the tuple is a typed parse error, and the
     // connection survives it.
@@ -554,7 +549,7 @@ TEST_F(IngestWorld, WireInsertGatedWithoutAllowInsert)
         "INSERT INTO nobench VALUES ('{\"ingq\": 1}')");
     EXPECT_FALSE(ins.ok);
     EXPECT_EQ(ins.errorCode, net::ErrorCode::ReadOnly);
-    EXPECT_EQ(w.engine->deltaRows(), 0u);
+    EXPECT_EQ(w.engine->snapshot()->docCount(), data->docs.size());
 
     // The rejection is per-statement: the session stays usable.
     client::Result sel = c.query("SELECT str1, num FROM t");

@@ -11,7 +11,7 @@
  * engine with concurrent callers and a background repartition (the
  * TSan configuration of scripts/ci.sh makes that a race hunt).  The
  * GroupFold suite holds COUNT(*) GROUP BY to its Select sub-query
- * folded by hand, on every layout, thread count and delta state.
+ * folded by hand, on every layout and thread count.
  *
  * Scale comes from DVP_TEST_DOCS (default 4000) so the ThreadSanitizer
  * build can dial it down without editing the test.
@@ -35,7 +35,6 @@
 #include "nobench/queries.hh"
 #include "nobench/workload.hh"
 #include "perf/memory_hierarchy.hh"
-#include "storage/delta.hh"
 #include "util/thread_pool.hh"
 
 namespace dvp
@@ -198,14 +197,15 @@ TEST(MorselExecution, ThreadCountAboveLaneCountClamps)
 // ---------------------------------------------------------------------
 // COUNT(*) GROUP BY oracle: an aggregate must equal its Select
 // sub-query folded by hand — the same rows in ascending key order and
-// the same checksum — on every layout, thread count and delta state,
-// and must trace exactly the sub-query's simulated memory accesses.
+// the same checksum — on every layout and thread count — and must
+// trace exactly the sub-query's simulated memory accesses.  (The same
+// aggregates over in-place-grown partitions: test_ingest.)
 // ---------------------------------------------------------------------
 
 /**
  * Q10 (SELECT *) and an explicit-list GROUP BY that omits the key,
  * both widened to match about half the documents so the retrieval
- * spans many morsels and reaches into the delta tail.
+ * spans many morsels.
  */
 std::vector<Query>
 groupQueries(const ParallelWorld &w)
@@ -258,18 +258,12 @@ expectHandFold(const ResultSet &agg, const Query &q,
     EXPECT_TRUE(agg.oids.empty());
 }
 
-/** Every layout of the ParallelWorld data, plus a delta-split base. */
+/** Every layout of the ParallelWorld data. */
 struct GroupFoldWorld
 {
-    static constexpr size_t kDeltaDocs = 300;
-
     std::vector<std::pair<std::string, const Database *>> partitioned;
     std::unique_ptr<Database> column, hyrise;
     std::unique_ptr<argo::ArgoStore> argo1, argo3;
-
-    /** Base data without the last kDeltaDocs, and those docs' tail. */
-    DataSet baseData;
-    std::unique_ptr<storage::DeltaStore> delta;
 
     GroupFoldWorld()
     {
@@ -293,14 +287,6 @@ struct GroupFoldWorld
                                                   argo::Variant::Argo1);
         argo3 = std::make_unique<argo::ArgoStore>(w.data,
                                                   argo::Variant::Argo3);
-
-        baseData = w.data;
-        size_t nbase = baseData.docs.size() - kDeltaDocs;
-        baseData.docs.resize(nbase);
-        delta = std::make_unique<storage::DeltaStore>(
-            static_cast<int64_t>(nbase));
-        for (size_t i = nbase; i < w.data.docs.size(); ++i)
-            delta->append(w.data.docs[i]);
     }
 };
 
@@ -324,33 +310,6 @@ TEST(GroupFold, PartitionedLayoutsMatchHandFoldAtEveryThreadCount)
                 ResultSet sel = exec.run(selectPart(q));
                 EXPECT_GT(sel.rowCount(), 4 * exec.morselRows());
                 expectHandFold(exec.run(q), q, sel);
-            }
-        }
-    }
-}
-
-TEST(GroupFold, DeltaTailMatchesHandFoldAndTheFoldedTable)
-{
-    // The last kDeltaDocs documents sit unfolded in a delta tail; the
-    // aggregate must still match its own sub-query and, cell for cell,
-    // the same aggregate over the fully loaded table.
-    ParallelWorld &w = world();
-    GroupFoldWorld &g = groupWorld();
-    for (const auto &[name, full] : g.partitioned) {
-        Database base(g.baseData, full->layout(), name + "-base");
-        for (size_t threads : {1u, 2u, 4u}) {
-            Executor exec(base, threads);
-            exec.setMorselRows(64);
-            exec.setDelta(g.delta.get(), g.delta->size());
-            Executor folded(*const_cast<Database *>(full), threads);
-            for (const Query &q : groupQueries(w)) {
-                SCOPED_TRACE(name + " " + q.name + " threads=" +
-                             std::to_string(threads));
-                ResultSet agg = exec.run(q);
-                expectHandFold(agg, q, exec.run(selectPart(q)));
-                ResultSet ref = folded.run(q);
-                EXPECT_EQ(agg.rows, ref.rows);
-                EXPECT_EQ(agg.checksum, ref.checksum);
             }
         }
     }
