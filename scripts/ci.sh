@@ -139,8 +139,11 @@ done
 DVPD_PORT="$(cat "$OBS_TMP/dvpd.port")"
 ./build-ci/examples/dvp_client --port "$DVPD_PORT" --stats \
     "SELECT COUNT(*) FROM t GROUP BY thousandth" \
+    "EXPLAIN SELECT COUNT(*) FROM t GROUP BY thousandth" \
     "EXPLAIN SELECT str1, num FROM t" > "$OBS_TMP/client.out"
 grep -q "^group" "$OBS_TMP/client.out"
+# SQL binds COUNT(*) GROUP BY to its grouping column, not SELECT *.
+grep -q "IndexRetrieve cols=1 " "$OBS_TMP/client.out"
 grep -q "requests_total" "$OBS_TMP/client.out"
 kill -TERM "$DVPD_PID"
 wait "$DVPD_PID"

@@ -12,6 +12,7 @@ namespace
 {
 constexpr char kManifestMagic[8] = {'D', 'V', 'P', 'M', 'A', 'N',
                                     '1', '\0'};
+constexpr int kManifestVersion = kManifestMagic[6] - '0';
 } // namespace
 
 std::string
@@ -35,6 +36,9 @@ encodeManifest(const Manifest &m)
 std::string
 decodeManifest(const std::string &bytes, Manifest &out)
 {
+    int version = formatVersion(bytes, "DVPMAN");
+    if (version > kManifestVersion)
+        return newerFormatError("manifest", version, kManifestVersion);
     if (bytes.size() < 12 ||
         std::memcmp(bytes.data(), kManifestMagic, 8) != 0)
         return "manifest: bad magic";

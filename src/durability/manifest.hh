@@ -20,7 +20,9 @@
  *
  * The manifest is always replaced via temp-file + rename + directory
  * fsync, so a crash mid-update leaves the previous manifest intact; a
- * CRC failure on load is treated as corruption, not as "empty".
+ * CRC failure on load is treated as corruption, not as "empty".  A
+ * "DVPMAN<N>" magic with N > 1 is a newer binary's manifest and fails
+ * by name ("manifest format vN, this binary reads ≤ v1").
  */
 
 #ifndef DVP_DURABILITY_MANIFEST_HH

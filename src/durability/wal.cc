@@ -79,6 +79,12 @@ scanSegmentFile(const std::string &path)
         scan.error = err;
         return scan;
     }
+    int version = formatVersion(bytes, "DVPWAL");
+    if (version > kWalVersion) {
+        scan.error = newerFormatError("WAL segment", version, kWalVersion) +
+                     " ('" + path + "')";
+        return scan;
+    }
     if (bytes.size() < kSegmentHeaderBytes ||
         std::memcmp(bytes.data(), kWalMagic, 8) != 0) {
         scan.error = "bad segment header in '" + path + "'";

@@ -55,6 +55,8 @@ namespace dvp::durability
 
 /** Magic bytes opening every WAL segment file. */
 constexpr char kWalMagic[8] = {'D', 'V', 'P', 'W', 'A', 'L', '1', '\0'};
+/** The segment format version this binary writes and reads. */
+constexpr int kWalVersion = kWalMagic[6] - '0';
 
 /** Segment header size: magic + first LSN. */
 constexpr size_t kSegmentHeaderBytes = 16;
@@ -100,7 +102,8 @@ struct SegmentScan
  * Read and validate every record of one segment file.  A short or
  * CRC-corrupt record terminates the scan with torn = true and
  * validBytes at the end of the last intact record; only an unreadable
- * file or bad header sets error.
+ * file or bad header sets error.  A "DVPWAL<N>" header with N >
+ * kWalVersion names the newer format instead of reporting corruption.
  */
 SegmentScan scanSegmentFile(const std::string &path);
 

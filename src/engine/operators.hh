@@ -20,13 +20,15 @@
  *
  * retrieve and retrieveGroups are one retrieval kernel with two sinks
  * (RowSink, GroupSink below): both make the same probes, record reads
- * and cell digests in the same order, so an aggregate still retrieves
- * every cell its Select sub-query would (paper §VI-B) — it just folds
- * each match's grouping cell into a count instead of materializing a
- * row.  The kind switch, the aggregate's selection-first orchestration
- * and group emission, and the bulk-insert loop live here exactly once;
- * they used to be duplicated verbatim between src/engine/executor.cc
- * and src/argo/argo_executor.cc.
+ * and cell digests in the same order, so an aggregate retrieves every
+ * cell its Select sub-query would (paper §VI-B) — it just folds each
+ * match's grouping cell into a count instead of materializing a row.
+ * Which cells that sub-query names is the query's: the paper templates
+ * (nobench::QuerySet) keep SELECT *, while the SQL binder binds
+ * COUNT(*) GROUP BY g to {g}.  The kind switch, the aggregate's
+ * selection-first orchestration and group emission, and the
+ * bulk-insert loop live here exactly once; they used to be duplicated
+ * verbatim between src/engine/executor.cc and src/argo/argo_executor.cc.
  */
 
 #ifndef DVP_ENGINE_OPERATORS_HH

@@ -154,6 +154,8 @@ QuerySet::base(int idx, Rng &rng, bool shifted) const
         break;
       }
       case kQ10: // SELECT COUNT(*) WHERE num BETWEEN GROUP BY thousandth
+        // §VI-B: aggregate over a SELECT * sub-query.  (The SQL binder
+        // binds {thousandth} instead; DESIGN.md §11.)
         q.kind = QueryKind::Aggregate;
         q.selectAll = true;
         between(attr("num"), width);

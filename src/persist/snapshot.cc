@@ -14,6 +14,7 @@ namespace
 
 constexpr char kMagic[8] = {'D', 'V', 'P', 'S', 'N', 'A', 'P', '1'};
 constexpr char kMagic2[8] = {'D', 'V', 'P', 'S', 'N', 'A', 'P', '2'};
+constexpr int kNewestRev = kMagic2[7] - '0'; ///< reads revs 1 and 2
 
 /** Little-endian append-only writer. */
 class Writer
@@ -224,6 +225,11 @@ LoadResult
 deserialize(const std::string &bytes)
 {
     LoadResult out;
+    int version = formatVersion(bytes, "DVPSNAP");
+    if (version > kNewestRev) {
+        out.error = newerFormatError("snapshot", version, kNewestRev);
+        return out;
+    }
     const bool rev2 =
         bytes.size() >= 8 && std::memcmp(bytes.data(), kMagic2, 8) == 0;
     size_t limit = bytes.size();

@@ -18,12 +18,13 @@
  *   u32 CRC-32 of every preceding byte
  *
  * Rev 1 ("DVPSNAP1") is the same without the meta block and trailing
- * CRC; deserialize still reads it (meta comes back empty).  The meta
- * block is what lets a durability checkpoint cut round-trip exactly:
- * baseDocs counts the docs the cut's layout held (recovery bulk-builds
- * docs[0, baseDocs) and appends the rest the way ingest does), epoch
- * is the layout epoch at the cut, and walLsn is the last WAL record
- * folded into the image.
+ * CRC; deserialize still reads it (meta comes back empty).  A higher
+ * rev digit fails with "snapshot format vN, this binary reads ≤ v2".
+ * The meta block is what lets a durability checkpoint cut round-trip
+ * exactly: baseDocs counts the docs the cut's layout held (recovery
+ * bulk-builds docs[0, baseDocs) and appends the rest the way ingest
+ * does), epoch is the layout epoch at the cut, and walLsn is the last
+ * WAL record folded into the image.
  *
  * Strings are u32 length + bytes.  The writer buffers the whole image
  * and writes once; the reader validates sizes and fails cleanly on

@@ -445,7 +445,10 @@ class Parser
             if (!has_group_by)
                 return fail("COUNT(*) requires GROUP BY");
             q.kind = QueryKind::Aggregate;
-            q.selectAll = true;
+            // Bound to what it reads: the grouping column, plus the
+            // WHERE column through conditionPart().  The paper's
+            // templates (nobench::QuerySet) keep §VI-B's SELECT *.
+            q.projected = {group_by};
             q.groupBy = group_by;
         } else {
             q.kind = q.cond.op == CondOp::None ? QueryKind::Project

@@ -7,7 +7,7 @@
  *
  *   SELECT a, b FROM t [WHERE <cond>]
  *   SELECT * FROM t [WHERE <cond>]
- *   SELECT COUNT(*) FROM t [WHERE <cond>] [GROUP BY g]
+ *   SELECT COUNT(*) FROM t [WHERE <cond>] GROUP BY g
  *   SELECT * FROM t AS l INNER JOIN t AS r ON l.x = r.y
  *       [WHERE <cond-on-l>]
  *   LOAD DATA LOCAL INFILE 'file' REPLACE INTO TABLE t
@@ -20,6 +20,11 @@
  * Column names are flattened JSON paths ("nested_obj.str").  In the
  * join form, "l." / "r." alias prefixes are stripped.  An array name
  * used with ANY expands to every `name[i]` column in the catalog.
+ *
+ * Each statement binds the attributes it reads: a list binds the
+ * list, COUNT(*) binds {g}, and the WHERE, ANY, ON and GROUP BY
+ * columns enter through Query::conditionPart().  SELECT * and the
+ * self-join (SELECT * by dialect) bind every attribute.
  *
  * String literals are resolved against the shared dictionary; a
  * never-ingested string yields a predicate that matches nothing

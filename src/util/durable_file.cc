@@ -130,4 +130,21 @@ readWholeFile(const std::string &path, std::string &out)
     return "";
 }
 
+int
+formatVersion(const std::string &bytes, const char *prefix)
+{
+    size_t n = std::strlen(prefix);
+    if (bytes.size() <= n || bytes.compare(0, n, prefix) != 0)
+        return 0;
+    char d = bytes[n];
+    return d >= '1' && d <= '9' ? d - '0' : 0;
+}
+
+std::string
+newerFormatError(const char *kind, int found, int reads)
+{
+    return std::string(kind) + " format v" + std::to_string(found) +
+           ", this binary reads ≤ v" + std::to_string(reads);
+}
+
 } // namespace dvp

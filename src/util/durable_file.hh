@@ -49,6 +49,20 @@ std::string fsyncDir(const std::string &dir);
  */
 std::string readWholeFile(const std::string &path, std::string &out);
 
+/**
+ * Durable formats open with a magic of a fixed prefix and one version
+ * digit ("DVPMAN1", "DVPWAL1", "DVPSNAP2").  @return that digit (1-9)
+ * when @p bytes open with @p prefix and a digit, else 0: the bytes are
+ * not this format at all.
+ */
+int formatVersion(const std::string &bytes, const char *prefix);
+
+/**
+ * The error for a file written by a newer binary: "<kind> format vN,
+ * this binary reads ≤ vM" — named, so it does not read as corruption.
+ */
+std::string newerFormatError(const char *kind, int found, int reads);
+
 } // namespace dvp
 
 #endif // DVP_UTIL_DURABLE_FILE_HH

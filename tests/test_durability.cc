@@ -29,6 +29,7 @@
 #include "obs/metrics.hh"
 #include "persist/snapshot.hh"
 #include "sql/run.hh"
+#include "util/durable_file.hh"
 #include "util/fault.hh"
 #include "util/random.hh"
 
@@ -83,6 +84,18 @@ elevenDigests(adaptive::AdaptiveEngine &eng,
     for (int i = 0; i < nobench::kNumTemplates; ++i)
         out.push_back(eng.execute(qs.instantiate(i, rng)).digest());
     return out;
+}
+
+/** Digest of SQL Q10, which reads only its grouping column. */
+uint64_t
+sqlQ10Digest(adaptive::AdaptiveEngine &eng)
+{
+    sql::RunResult r = sql::runStatement(
+        eng, "SELECT COUNT(*) FROM t WHERE num BETWEEN 0 AND 499999 "
+             "GROUP BY thousandth");
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_GT(r.rows.rowCount(), 1u);
+    return r.rows.digest();
 }
 
 adaptive::Params
@@ -261,6 +274,33 @@ TEST(Wal, FaultInjectedAppendThenContinueAt)
     }
 }
 
+TEST(Wal, NewerSegmentVersionIsNamedNotCorrupt)
+{
+    TempDir dir;
+    {
+        WalOptions opts;
+        opts.policy = FsyncPolicy::None;
+        Wal wal(dir.path, opts);
+        ASSERT_EQ(wal.create(1), "");
+        ASSERT_EQ(wal.append(RecordType::Ingest, "x"), 1u);
+    }
+    std::string path = dir.path + "/" + segmentFileName(1);
+    std::string bytes;
+    ASSERT_EQ(readWholeFile(path, bytes), "");
+
+    bytes[6] = '2';
+    ASSERT_EQ(atomicWriteFile(path, bytes, false), "");
+    EXPECT_EQ(scanSegmentFile(path).error,
+              "WAL segment format v2, this binary reads ≤ v1 ('" + path +
+                  "')");
+
+    bytes[6] = '1';
+    bytes[0] = 'X';
+    ASSERT_EQ(atomicWriteFile(path, bytes, false), "");
+    EXPECT_EQ(scanSegmentFile(path).error,
+              "bad segment header in '" + path + "'");
+}
+
 // ---------------------------------------------------------------------
 // Manifest
 // ---------------------------------------------------------------------
@@ -291,6 +331,25 @@ TEST(Manifest, RoundTripAndCrcReject)
     }
     EXPECT_NE(decodeManifest(bytes.substr(0, bytes.size() - 1), back),
               "");
+}
+
+TEST(Manifest, NewerVersionIsNamedNotCorrupt)
+{
+    Manifest m;
+    m.seq = 1;
+    std::string bytes = encodeManifest(m);
+    Manifest back;
+    std::string newer = bytes;
+    newer[6] = '2';
+    EXPECT_EQ(decodeManifest(newer, back),
+              "manifest format v2, this binary reads ≤ v1");
+
+    std::string foreign = bytes;
+    foreign[2] = 'X';
+    EXPECT_EQ(decodeManifest(foreign, back), "manifest: bad magic");
+    std::string zero = bytes; // no version 0: not a manifest
+    zero[6] = '0';
+    EXPECT_EQ(decodeManifest(zero, back), "manifest: bad magic");
 }
 
 TEST(Manifest, AtomicReplaceSurvivesFaultAtEveryByte)
@@ -482,11 +541,81 @@ TEST(Manager, OneOwnerPerDataDirectory)
     EXPECT_TRUE(i3.recovered);
 }
 
+TEST(Manager, OpenNamesANewerFormatAndFlagsCorruptMagic)
+{
+    // Recovery reads three formats: the manifest, then the snapshot it
+    // names, then the WAL segments.  Each one written by a newer binary
+    // stops open() with its name and version; a corrupt magic in each
+    // keeps the corruption error.
+    std::string dirpath;
+    {
+        DurableWorld w(60, quietParams());
+        dirpath = w.dir.path;
+        fs::rename(w.dir.path, w.dir.path + ".keep");
+    }
+    fs::rename(dirpath + ".keep", dirpath);
+
+    auto file_starting = [&](const std::string &prefix) {
+        for (const auto &ent : fs::directory_iterator(dirpath)) {
+            std::string name = ent.path().filename().string();
+            if (name.rfind(prefix, 0) == 0)
+                return ent.path().string();
+        }
+        return std::string();
+    };
+    struct Format
+    {
+        std::string path;
+        size_t versionByte;
+        char newer;
+        const char *named;
+    };
+    std::vector<Format> formats = {
+        {dirpath + "/" + std::string(kManifestFile), 6, '2',
+         "manifest format v2, this binary reads ≤ v1"},
+        {file_starting("snapshot-"), 7, '3',
+         "snapshot format v3, this binary reads ≤ v2"},
+        {file_starting("wal-"), 6, '2',
+         "WAL segment format v2, this binary reads ≤ v1"},
+    };
+    auto open_error = [&] {
+        Config dcfg;
+        dcfg.dir = dirpath;
+        dcfg.fsyncPolicy = FsyncPolicy::None;
+        Manager mgr(dcfg);
+        engine::DataSet data;
+        RecoveryInfo info;
+        return mgr.open(data, info);
+    };
+    for (const Format &f : formats) {
+        SCOPED_TRACE(f.path);
+        std::string good;
+        ASSERT_EQ(readWholeFile(f.path, good), "");
+
+        std::string bytes = good;
+        bytes[f.versionByte] = f.newer;
+        ASSERT_EQ(atomicWriteFile(f.path, bytes, false), "");
+        std::string err = open_error();
+        EXPECT_NE(err.find(f.named), std::string::npos) << err;
+
+        bytes = good;
+        bytes[1] = 'X';
+        ASSERT_EQ(atomicWriteFile(f.path, bytes, false), "");
+        err = open_error();
+        EXPECT_NE(err, "");
+        EXPECT_EQ(err.find("format v"), std::string::npos) << err;
+
+        ASSERT_EQ(atomicWriteFile(f.path, good, false), "");
+    }
+    EXPECT_EQ(open_error(), "");
+    fs::remove_all(dirpath);
+}
+
 TEST(Manager, CheckpointRecoverBitIdenticalDigests)
 {
     adaptive::Params params = quietParams();
     std::vector<uint64_t> before;
-    uint64_t epoch_before, docs_before;
+    uint64_t epoch_before, docs_before, sql_q10_before;
     std::string dirpath;
     nobench::Config ncfg;
     {
@@ -504,6 +633,7 @@ TEST(Manager, CheckpointRecoverBitIdenticalDigests)
         ASSERT_EQ(ack.totalDocs, 320u);
 
         before = elevenDigests(*w.engine, w.data, w.cfg);
+        sql_q10_before = sqlQ10Digest(*w.engine);
         epoch_before = w.engine->snapshot()->epoch();
         docs_before = ack.totalDocs;
         // Keep the directory alive past the TempDir destructor by
@@ -518,6 +648,7 @@ TEST(Manager, CheckpointRecoverBitIdenticalDigests)
     EXPECT_EQ(r.info.replayedDocs, 20u);
     EXPECT_EQ(r.engine->snapshot()->epoch(), epoch_before);
     EXPECT_EQ(elevenDigests(*r.engine, r.data, ncfg), before);
+    EXPECT_EQ(sqlQ10Digest(*r.engine), sql_q10_before);
     fs::remove_all(dirpath);
 }
 

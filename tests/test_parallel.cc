@@ -11,7 +11,9 @@
  * engine with concurrent callers and a background repartition (the
  * TSan configuration of scripts/ci.sh makes that a race hunt).  The
  * GroupFold suite holds COUNT(*) GROUP BY to its Select sub-query
- * folded by hand, on every layout and thread count.
+ * folded by hand, on every layout and thread count, and the SQL
+ * COUNT(*), which reads only its grouping column, to the paper
+ * template's SELECT * digest.
  *
  * Scale comes from DVP_TEST_DOCS (default 4000) so the ThreadSanitizer
  * build can dial it down without editing the test.
@@ -35,6 +37,7 @@
 #include "nobench/queries.hh"
 #include "nobench/workload.hh"
 #include "perf/memory_hierarchy.hh"
+#include "sql/parser.hh"
 #include "util/thread_pool.hh"
 
 namespace dvp
@@ -329,6 +332,51 @@ TEST(GroupFold, ArgoStoresMatchHandFold)
             Executor row(*w.row);
             EXPECT_EQ(agg.rows, row.run(q).rows);
         }
+    }
+}
+
+TEST(GroupFold, SqlQ10DigestEqualsThePaperTemplateOnEveryLayout)
+{
+    // The SQL binder binds COUNT(*) GROUP BY to {thousandth} (num
+    // enters through the WHERE clause); the paper template retrieves
+    // SELECT *.  The digest contract: the same groups and counts on
+    // every layout, thread count and compression setting.
+    ParallelWorld &w = world();
+    GroupFoldWorld &g = groupWorld();
+    Query paper = groupQueries(w)[0];
+    sql::ParseResult r = sql::parse(
+        "SELECT COUNT(*) FROM t WHERE num BETWEEN " +
+            std::to_string(paper.cond.lo) + " AND " +
+            std::to_string(paper.cond.hi) + " GROUP BY thousandth",
+        w.data);
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_FALSE(r.query.selectAll);
+    ASSERT_EQ(r.query.projected,
+              std::vector<storage::AttrId>{paper.groupBy});
+
+    ResultSet want = Executor(*w.row).run(paper);
+    EXPECT_GT(want.rowCount(), 1u);
+    for (bool compress : {false, true}) {
+        for (const auto &[name, db] : g.partitioned) {
+            Database copy(w.data, db->layout(), name, true, nullptr,
+                          compress);
+            ASSERT_EQ(copy.compressed(), compress);
+            for (size_t threads : {1u, 4u}) {
+                SCOPED_TRACE(name + (compress ? " compressed" : "") +
+                             " threads=" + std::to_string(threads));
+                Executor exec(copy, threads);
+                exec.setMorselRows(64);
+                ResultSet got = exec.run(r.query);
+                EXPECT_EQ(got.rows, want.rows);
+                EXPECT_EQ(got.digest(), want.digest());
+            }
+        }
+    }
+    for (argo::ArgoStore *store : {g.argo1.get(), g.argo3.get()}) {
+        argo::ArgoExecutor exec(*store);
+        ResultSet got = exec.run(r.query);
+        EXPECT_EQ(got.rows, want.rows);
+        EXPECT_EQ(got.digest(), want.digest());
     }
 }
 

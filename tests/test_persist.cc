@@ -145,6 +145,25 @@ TEST(Snapshot, RejectsBadMagic)
     EXPECT_NE(r.error.find("magic"), std::string::npos);
 }
 
+TEST(Snapshot, NewerRevIsNamedNotCorrupt)
+{
+    // A snapshot from a newer binary names its rev; a corrupt magic
+    // still reads as corruption.
+    PersistWorld &w = world();
+    std::string bytes = serialize(w.data, &w.layout);
+    std::string newer = bytes;
+    newer[7] = '3';
+    LoadResult r = deserialize(newer);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "snapshot format v3, this binary reads ≤ v2");
+
+    std::string foreign = bytes;
+    foreign[0] = 'X';
+    r = deserialize(foreign);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error.find("format v"), std::string::npos) << r.error;
+}
+
 TEST(Snapshot, RejectsEveryTruncation)
 {
     // Property: truncating a valid image at any section boundary (and
