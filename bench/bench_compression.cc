@@ -80,13 +80,13 @@ run(int argc, char **argv)
         "row",
         {data, layout::Layout::rowBased(attrs), "row"},
         {data, layout::Layout::rowBased(attrs), "row.z",
-         /*allow_pad=*/true, nullptr, /*compress=*/true}}));
+         nullptr, /*compress=*/true}}));
     inform("building col twins...");
     twins.push_back(std::unique_ptr<Twin>(new Twin{
         "col",
         {data, layout::Layout::columnBased(attrs), "col"},
         {data, layout::Layout::columnBased(attrs), "col.z",
-         /*allow_pad=*/true, nullptr, /*compress=*/true}}));
+         nullptr, /*compress=*/true}}));
 
     JsonLog json(opt, "compression");
 

@@ -68,9 +68,9 @@ main(int argc, char **argv)
 
         // A trickle of live ingest alongside the queries.
         if (i % 60 == 0)
-            eng.ingest(nobench::generateDoc(
+            eng.ingest({json::flatten(nobench::generateDoc(
                 cfg, ingest_rng,
-                static_cast<int64_t>(data.docs.size())));
+                static_cast<int64_t>(data.docs.size())))});
 
         if ((i + 1) % 75 == 0) {
             std::printf("  q%4zu-%4zu  avg %.3f ms  (repartitions so "

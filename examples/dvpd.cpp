@@ -18,10 +18,12 @@
  *     --max-inflight N      admission watermark     (default 64)
  *     --idle-timeout-ms N   reap idle sessions; 0 = never (default 0)
  *     --allow-load          permit LOAD DATA of server-local files
+ *                           (parsed on --threads lanes; a file with a
+ *                           bad line loads nothing)
  *     --allow-insert        permit INSERT statements (each batch is
  *                           appended to the live partitions in place)
- *     --threads N           executor lanes per query (default 1)
- *     --load-threads N      parser lanes for LOAD DATA (default 4)
+ *     --threads N           executor lanes per query and parser
+ *                           lanes per LOAD DATA (default 1)
  *     --http-port P         serve GET /metrics and /healthz over HTTP
  *                           (0 = ephemeral; omit to disable)
  *     --http-port-file FILE write the bound HTTP port to FILE
@@ -81,7 +83,6 @@ usage(const char *argv0)
                  "[--port P] [--port-file FILE] [--workers N] "
                  "[--max-inflight N] [--idle-timeout-ms N] "
                  "[--allow-load] [--allow-insert] [--threads N] "
-                 "[--load-threads N] "
                  "[--http-port P] "
                  "[--http-port-file FILE] [--slow-ms N] "
                  "[--slow-query-log FILE] [--audit] [--metrics FILE] "
@@ -148,9 +149,6 @@ main(int argc, char **argv)
         else if (a == "--threads")
             exec_threads =
                 std::strtoull(next("--threads"), nullptr, 10);
-        else if (a == "--load-threads")
-            cfg.loadThreads =
-                std::strtoull(next("--load-threads"), nullptr, 10);
         else if (a == "--http-port") {
             http_enabled = true;
             http_cfg.port = static_cast<uint16_t>(

@@ -5,7 +5,7 @@
  * Loads newline-delimited JSON, accepts the Table III SQL dialect, and
  * exposes the layout machinery through backslash commands:
  *
- *   \load <file>     ingest a JSON-lines file
+ *   \load <file>     LOAD DATA a JSON-lines file (all or nothing)
  *   \gen <n>         ingest n synthetic NoBench documents
  *   \layout          show the current partitions
  *   \stats           show workload statistics
@@ -31,14 +31,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "adaptive/adaptive_engine.hh"
 #include "obs/export.hh"
-#include "engine/load.hh"
 #include "nobench/generator.hh"
 #include "persist/snapshot.hh"
 #include "sql/run.hh"
@@ -162,51 +160,18 @@ class Shell
         built_attrs = data.catalog.attrCount();
     }
 
-    /** Ingest a JSON-lines file; the dispatch-layer LOAD handler. */
-    sql::LoadOutcome
-    loadFile(const std::string &path)
-    {
-        sql::LoadOutcome out;
-        std::ifstream in(path);
-        if (!in) {
-            out.error = "cannot open '" + path + "'";
-            return out;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        Timer t;
-        // Tape-parse (DOM-free) and ingest through the flat fast
-        // path; documents before a bad line are kept, as before.
-        dvp::engine::LoadOptions opt;
-        size_t docs = 0;
-        std::string err = dvp::engine::parseNdjsonFlat(
-            buf.str(), opt, nullptr,
-            [&](const std::vector<json::FlatAttr> &flat) {
-                engine->ingestFlat(flat);
-                ++docs;
-            });
-        if (!err.empty())
-            std::printf("parse error: %s (loaded %zu docs before it)\n",
-                        err.c_str(), docs);
-        char msg[128];
-        std::snprintf(msg, sizeof(msg),
-                      "ingested %zu documents in %.1f ms (%zu "
-                      "attributes known)",
-                      docs, t.milliseconds(),
-                      data.catalog.attrCount());
-        out.message = msg;
-        return out;
-    }
-
-    /** \load verb: run the handler and print its outcome. */
+    /** \load verb: run LOAD DATA for @p path (all-or-nothing). */
     void
-    loadAndReport(const std::string &path)
+    load(const std::string &path)
     {
-        sql::LoadOutcome out = loadFile(path);
-        if (!out.error.empty())
-            std::printf("error: %s\n", out.error.c_str());
-        else
-            std::printf("%s\n", out.message.c_str());
+        std::string quoted; // SQL literal: a quote doubles itself
+        for (char c : path) {
+            if (c == '\'')
+                quoted += c;
+            quoted += c;
+        }
+        execute("LOAD DATA LOCAL INFILE '" + quoted +
+                "' REPLACE INTO TABLE t");
     }
 
     void
@@ -216,8 +181,8 @@ class Shell
         cfg.numDocs = data.docs.size() + n;
         Timer t;
         for (uint64_t i = 0; i < n; ++i)
-            engine->ingest(nobench::generateDoc(
-                cfg, gen_rng, static_cast<int64_t>(data.docs.size())));
+            engine->ingest({json::flatten(nobench::generateDoc(
+                cfg, gen_rng, static_cast<int64_t>(data.docs.size())))});
         std::printf("generated %llu NoBench documents in %.1f ms\n",
                     static_cast<unsigned long long>(n),
                     t.milliseconds());
@@ -270,9 +235,8 @@ class Shell
     execute(const std::string &text)
     {
         ensureFresh();
-        sql::RunResult r = sql::runStatement(
-            *engine, text,
-            [this](const std::string &path) { return loadFile(path); });
+        sql::RunResult r =
+            sql::runStatement(*engine, text, /*allowLoad=*/true);
         if (!r.ok) {
             std::printf("error: %s\n", r.error.c_str());
             return;
@@ -419,7 +383,7 @@ main(int argc, char **argv)
     installSignalHandlers();
     Shell shell;
     if (argc > 1)
-        shell.loadAndReport(argv[1]);
+        shell.load(argv[1]);
 
     std::printf("dvpsh — type SQL, or \\help\n");
     std::string line;
@@ -449,7 +413,7 @@ main(int argc, char **argv)
             } else if (verb == "load") {
                 std::string path;
                 cmd >> path;
-                shell.loadAndReport(path);
+                shell.load(path);
             } else if (verb == "gen") {
                 uint64_t n = 1000;
                 cmd >> n;

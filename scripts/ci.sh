@@ -169,6 +169,50 @@ grep -q "RESULT_TOO_LARGE" "$OBS_TMP/too_large.err"
 grep -q "row(s), digest" "$OBS_TMP/after_big.out"
 kill -TERM "$DVPD_PID"
 wait "$DVPD_PID"
+# LOAD DATA over the wire is all-or-nothing: a 100-line file moves
+# STATS docs by exactly 100, and a file with one bad line is an error
+# that appends nothing.
+python3 - "$OBS_TMP" <<'EOF'
+import sys
+tmp = sys.argv[1]
+with open(f"{tmp}/load_good.jsonl", "w") as f:
+    for i in range(100):
+        f.write(f'{{"ci_load": {i}, "str1": "ci_load_{i}"}}\n')
+with open(f"{tmp}/load_bad.jsonl", "w") as f:
+    for i in range(100):
+        f.write('{"ci_load": oops}\n' if i == 49
+                else f'{{"ci_load": {1000 + i}}}\n')
+EOF
+./build-ci/examples/dvpd --gen 500 --port 0 --allow-load \
+    --port-file "$OBS_TMP/dvpd_load.port" > "$OBS_TMP/dvpd_load.log" 2>&1 &
+DVPD_PID=$!
+for _ in $(seq 50); do
+    [ -s "$OBS_TMP/dvpd_load.port" ] && break
+    sleep 0.1
+done
+DVPD_PORT="$(cat "$OBS_TMP/dvpd_load.port")"
+stats_docs() {
+    ./build-ci/examples/dvp_client --port "$DVPD_PORT" --stats \
+        2> /dev/null | awk '$1 == "docs" { print $2 }'
+}
+DOCS0="$(stats_docs)"
+./build-ci/examples/dvp_client --port "$DVPD_PORT" \
+    "LOAD DATA LOCAL INFILE '$OBS_TMP/load_good.jsonl' REPLACE INTO TABLE t" \
+    > "$OBS_TMP/load_good.out"
+DOCS1="$(stats_docs)"
+[ "$DOCS1" -eq $((DOCS0 + 100)) ] || {
+    echo "LOAD of 100 lines moved docs $DOCS0 -> $DOCS1" >&2; exit 1; }
+if ./build-ci/examples/dvp_client --port "$DVPD_PORT" \
+    "LOAD DATA LOCAL INFILE '$OBS_TMP/load_bad.jsonl' REPLACE INTO TABLE t" \
+    > /dev/null 2> "$OBS_TMP/load_bad.err"; then
+    echo "dvpd acknowledged a LOAD with a bad line" >&2; exit 1
+fi
+grep -q "line 50" "$OBS_TMP/load_bad.err"
+DOCS2="$(stats_docs)"
+[ "$DOCS2" -eq "$DOCS1" ] || {
+    echo "a failed LOAD moved docs $DOCS1 -> $DOCS2" >&2; exit 1; }
+kill -TERM "$DVPD_PID"
+wait "$DVPD_PID"
 ./build-ci/bench/bench_server_throughput --docs 2000 --duration 2 \
     --connections 4 --json "$OBS_TMP/server.ndjson" > /dev/null
 python3 - "$OBS_TMP" <<'EOF'
@@ -450,10 +494,12 @@ echo "=== address-sanitizer build ==="
 # ASan catches lifetime bugs the plan cache could introduce: a cached
 # plan outliving its Database (epoch guard), swap invalidation racing
 # executions, and layout mutations under randomized move sequences.
+# test_persist adds static-destruction order: fixtures whose
+# destructors flush metrics after main() returns.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDVP_SANITIZE=address
 cmake --build build-asan -j "$JOBS"
 DVP_TEST_DOCS=800 ctest --test-dir build-asan --output-on-failure \
-    -j "$JOBS" -R 'test_plan|test_adaptive|test_layout|test_kernels|test_compress|test_server|test_analyze|test_ingest|test_json_tape|test_durability'
+    -j "$JOBS" -R 'test_plan|test_adaptive|test_layout|test_kernels|test_compress|test_server|test_analyze|test_ingest|test_json_tape|test_durability|test_persist'
 
 echo "ci.sh: all suites passed"

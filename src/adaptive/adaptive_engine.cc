@@ -1,6 +1,5 @@
 #include "adaptive/adaptive_engine.hh"
 
-#include "json/flatten.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
@@ -23,8 +22,7 @@ AdaptiveEngine::AdaptiveEngine(engine::DataSet &data,
     adapt_stats.lastLayoutTables = res.layout.partitionCount();
     Timer build;
     db = std::make_shared<engine::Database>(data, res.layout, "DVP",
-                                            /*allow_pad=*/true, nullptr,
-                                            prm.compress);
+                                            nullptr, prm.compress);
     decision_docs = data.docs.size();
 
     AuditRecord rec;
@@ -56,8 +54,7 @@ AdaptiveEngine::AdaptiveEngine(RestoreTag, engine::DataSet &data,
     Timer build;
     const std::vector<storage::Document> none;
     db = std::make_shared<engine::Database>(data, r.layout, "DVP",
-                                            /*allow_pad=*/true, &none,
-                                            prm.compress);
+                                            &none, prm.compress);
     db->adoptEpoch(r.epoch);
     for (size_t i = 0; i < r.baseDocs; ++i)
         db->insert(data.docs[i]);
@@ -192,38 +189,6 @@ AdaptiveEngine::execute(const engine::Query &q, engine::QueryStats *stats)
     return rs;
 }
 
-int64_t
-AdaptiveEngine::ingest(const json::JsonValue &doc)
-{
-    return ingestMany(&doc, 1).lastOid;
-}
-
-IngestAck
-AdaptiveEngine::ingestBatch(const std::vector<json::JsonValue> &docs)
-{
-    return ingestMany(docs.data(), docs.size());
-}
-
-IngestAck
-AdaptiveEngine::ingestMany(const json::JsonValue *docs, size_t n)
-{
-    // Pre-flatten outside every lock and delegate: encode(flatten(d))
-    // is exactly what addObject runs, and the flat form is what the
-    // WAL logs, so both ingest surfaces produce identical log records
-    // and identical replay.
-    std::vector<std::vector<json::FlatAttr>> flats;
-    flats.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        flats.push_back(json::flatten(docs[i]));
-    return ingestFlatBatch(flats);
-}
-
-int64_t
-AdaptiveEngine::ingestFlat(const std::vector<json::FlatAttr> &flat)
-{
-    return ingestFlatBatch({flat}).lastOid;
-}
-
 void
 AdaptiveEngine::appendDocs(size_t first)
 {
@@ -233,8 +198,7 @@ AdaptiveEngine::appendDocs(size_t first)
 }
 
 IngestAck
-AdaptiveEngine::ingestFlatBatch(
-    const std::vector<std::vector<json::FlatAttr>> &docs)
+AdaptiveEngine::ingest(const std::vector<std::vector<json::FlatAttr>> &docs)
 {
     IngestAck ack;
     // Encode the WAL body outside the lock (it only reads the
@@ -249,22 +213,27 @@ AdaptiveEngine::ingestFlatBatch(
     {
         std::unique_lock<RwLock> lock(db_mutex);
         Timer held;
-        size_t first = data->docs.size();
-        for (const auto &flat : docs)
-            ack.lastOid = data->addFlat(flat);
-        appendDocs(first);
-        // Feed the change detector's data-drift windows.  Every doc
-        // writer holds db_mutex exclusive, so the batch is stable here.
-        if (prm.adapt) {
-            std::lock_guard<std::mutex> dlock(detector_mutex);
-            for (size_t i = first; i < data->docs.size(); ++i)
-                changed |= detector.observeIngest(data->docs[i]);
-        }
-        ack.count = docs.size();
-        ack.totalDocs = data->docs.size();
-        ack.epoch = db->epoch();
+        // Log before apply: a batch the WAL could not take is not
+        // appended either, so memory never runs ahead of the log.
         if (log)
             lsn = dur_->logIngest(wal_body);
+        if (!log || lsn != 0) {
+            size_t first = data->docs.size();
+            for (const auto &flat : docs)
+                ack.lastOid = data->addFlat(flat);
+            appendDocs(first);
+            // Feed the change detector's data-drift windows.  Every
+            // doc writer holds db_mutex exclusive, so the batch is
+            // stable here.
+            if (prm.adapt) {
+                std::lock_guard<std::mutex> dlock(detector_mutex);
+                for (size_t i = first; i < data->docs.size(); ++i)
+                    changed |= detector.observeIngest(data->docs[i]);
+            }
+            ack.count = docs.size();
+        }
+        ack.totalDocs = data->docs.size();
+        ack.epoch = db->epoch();
         DVP_HISTOGRAM_OBSERVE("dvp_ingest_lock_ns",
                               static_cast<uint64_t>(held.seconds() * 1e9));
     }
@@ -275,9 +244,9 @@ AdaptiveEngine::ingestFlatBatch(
         if (!err.empty())
             ack.walError = std::move(err);
     }
-    if (docs.empty())
+    if (ack.count == 0)
         return ack;
-    DVP_COUNTER_ADD("dvp_inserts_total", docs.size());
+    DVP_COUNTER_ADD("dvp_inserts_total", ack.count);
     if (changed) {
         ++adapt_stats.changesDetected;
         DVP_COUNTER_INC("dvp_changes_detected_total");
@@ -355,7 +324,7 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
     auto fresh = [&] {
         DVP_TRACE_SPAN(build_span, "build", "bulk-build tables");
         return std::make_shared<engine::Database>(
-            *data, res.layout, "DVP", /*allow_pad=*/true, &doc_snapshot,
+            *data, res.layout, "DVP", &doc_snapshot,
             prm.compress);
     }();
     double build_seconds = build_timer.seconds();

@@ -127,9 +127,10 @@ struct IngestAck
     uint64_t epoch = 0;   ///< epoch of the Database appended to
     int64_t lastOid = -1; ///< oid of the last appended document
     /**
-     * Non-empty when durable logging failed: the documents are in
-     * memory but NOT guaranteed recoverable, so the statement must be
-     * reported as failed instead of acknowledged (log-before-ack).
+     * Non-empty when durable logging failed, so the statement must be
+     * reported as failed instead of acknowledged (log-before-ack).  A
+     * failed log append appends nothing (count stays 0); a failed sync
+     * leaves the documents in memory but NOT guaranteed recoverable.
      */
     std::string walError;
 };
@@ -187,27 +188,15 @@ class AdaptiveEngine
                               engine::QueryStats *stats = nullptr);
 
     /**
-     * Ingest one new document: encode it and append it to the current
-     * Database's partitions under the exclusive engine lock, after
-     * giving any attribute the layout lacks a singleton partition.
-     * The next query sees it.  @return the document's oid.
+     * Ingest a batch of flattened documents (json::flatten, or the
+     * tape parser's flat form): under one exclusive engine lock, log
+     * the batch to the WAL (when durable), give every attribute the
+     * layout lacks a singleton partition, and append each document to
+     * the current Database's partitions in order.  The next query sees
+     * them.  This is the engine's only write entry: INSERT, LOAD DATA
+     * and every programmatic caller go through it.
      */
-    int64_t ingest(const json::JsonValue &doc);
-
-    /** Batch form of ingest(): one lock acquisition for all docs. */
-    IngestAck ingestBatch(const std::vector<json::JsonValue> &docs);
-
-    /**
-     * Ingest one pre-flattened document (the tape-parser fast path:
-     * no JsonValue tree exists).  Semantics are identical to
-     * ingest(flatten-equivalent doc): in-place append, drift windows.
-     * @return the document's oid.
-     */
-    int64_t ingestFlat(const std::vector<json::FlatAttr> &flat);
-
-    /** Batch form of ingestFlat(): one lock acquisition for all. */
-    IngestAck ingestFlatBatch(
-        const std::vector<std::vector<json::FlatAttr>> &docs);
+    IngestAck ingest(const std::vector<std::vector<json::FlatAttr>> &docs);
 
     /**
      * The current Database (shared; stays alive across swaps).  Ingest
@@ -308,7 +297,6 @@ class AdaptiveEngine
     void repartitionNow(std::vector<engine::Query> workload,
                         std::string trigger);
     void pushAudit(AuditRecord rec);
-    IngestAck ingestMany(const json::JsonValue *docs, size_t n);
     /**
      * Cover the catalog, then append data->docs[first, end) to the
      * current Database (db_mutex held exclusive, or the engine not yet

@@ -14,8 +14,10 @@ DataSet::addObject(const json::JsonValue &doc)
 {
     std::unique_lock<std::shared_mutex> g(mu);
     storage::Encoder enc(catalog, dict);
-    // Encoder oid assignment restarts per call; keep docs authoritative.
-    storage::Document d = enc.encodeObject(doc);
+    // Not addFlat(json::flatten(doc)): that keeps the flattened copy
+    // alive across the push_back, which moves later heap blocks and
+    // with them the simulated cache counters (Figs 6-7).
+    storage::Document d = enc.encode(json::flatten(doc));
     d.oid = static_cast<int64_t>(docs.size());
     docs.push_back(std::move(d));
     return docs.back().oid;
@@ -39,11 +41,11 @@ DataSet::addFlat(const std::vector<json::FlatAttr> &flat)
 static std::atomic<uint64_t> next_epoch{1};
 
 Database::Database(const DataSet &data, layout::Layout layout,
-                   std::string name, bool allow_pad,
+                   std::string name,
                    const std::vector<storage::Document> *docs_override,
                    bool compress)
     : data_(&data), layout_(std::move(layout)), name_(std::move(name)),
-      allow_pad_(allow_pad), compress_(compress)
+      compress_(compress)
 {
     epoch_ = next_epoch.fetch_add(1, std::memory_order_relaxed);
 
@@ -87,7 +89,7 @@ Database::addTable(const std::vector<storage::AttrId> &attrs)
 {
     int p = static_cast<int>(tables_.size());
     tables_.emplace_back(name_ + ".p" + std::to_string(p), attrs, arena_,
-                         allow_pad_, compress_);
+                         compress_);
     for (size_t c = 0; c < attrs.size(); ++c) {
         if (attrs[c] >= locs_.size())
             locs_.resize(attrs[c] + 1, AttrLoc{});

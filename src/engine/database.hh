@@ -108,7 +108,6 @@ class Database
     /**
      * Build tables for @p layout and populate them from @p data.
      * @param name engine name for reports ("DVP", "row", ...).
-     * @param allow_pad enable the §IV narrow-padding decision.
      * @param docs_override populate from this snapshot instead of
      *        data.docs (used by background repartitioning, which must
      *        not race the live document vector).
@@ -119,7 +118,6 @@ class Database
      *        record pointers.
      */
     Database(const DataSet &data, layout::Layout layout, std::string name,
-             bool allow_pad = true,
              const std::vector<storage::Document> *docs_override =
                  nullptr,
              bool compress = false);
@@ -221,7 +219,6 @@ class Database
     std::vector<storage::Table> tables_;
     std::vector<AttrLoc> locs_; ///< dense AttrId -> location
     size_t ndocs = 0;
-    bool allow_pad_ = true;
     bool compress_ = false;
     double build_seconds = 0;
     uint64_t epoch_ = 0;

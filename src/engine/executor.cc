@@ -1241,32 +1241,4 @@ Executor::run(const Query &q, perf::MemoryHierarchy &mh)
     return ops::runQuery(exec, q);
 }
 
-ResultSet
-Executor::execute(const PhysicalPlan &plan, const Query &q,
-                  QueryStats *stats)
-{
-    invariant(plan.epoch == db->epoch(),
-              "plan bound against a different database");
-    DVP_TRACE_SPAN(query_span, "query", q.name.c_str());
-    auto t0 = std::chrono::steady_clock::now();
-    Exec<NullTracer> exec(*db, plan, NullTracer{}, threads_,
-                          morsel_rows, vectorized_);
-    ResultSet rs = ops::runQuery(exec, q);
-    auto ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    flushQueryMetrics(*db, q, ns, exec);
-    if (stats != nullptr) {
-        fillStats(*stats, exec, rs);
-        stats->execNs = ns;
-        stats->planNs = 0;
-        stats->planSource = PlanSource::PreBound;
-        stats->planEpoch = plan.epoch;
-        stats->layoutFingerprint = plan.layoutFingerprint;
-        stats->threads = threads_;
-    }
-    return rs;
-}
-
 } // namespace dvp::engine

@@ -111,13 +111,6 @@ class Executor
      */
     ResultSet run(const Query &q, perf::MemoryHierarchy &mh);
 
-    /**
-     * Execute a pre-bound plan.  @p plan must have been bound against
-     * this executor's Database (checked via the epoch stamp).
-     */
-    ResultSet execute(const PhysicalPlan &plan, const Query &q,
-                      QueryStats *stats = nullptr);
-
   private:
     /**
      * Plan for @p q: cached when possible, else bound into @p local.

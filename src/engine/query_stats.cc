@@ -10,7 +10,6 @@ planSourceName(PlanSource s)
       case PlanSource::AdHoc: return "adhoc";
       case PlanSource::CacheHit: return "hit";
       case PlanSource::CacheMiss: return "miss";
-      case PlanSource::PreBound: return "prebound";
     }
     return "?";
 }

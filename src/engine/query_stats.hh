@@ -3,8 +3,8 @@
  * Per-query execution statistics (EXPLAIN ANALYZE, wire operator
  * summaries, the slow-query log).
  *
- * A QueryStats is filled by Executor::run / Executor::execute from the
- * same per-lane counters that feed the dvp_* metrics registry — both
+ * A QueryStats is filled by Executor::run from the same per-lane
+ * counters that feed the dvp_* metrics registry — both
  * views read the identical merged Exec fields, so the per-query numbers
  * reconcile exactly with the exported Prometheus counter deltas for
  * that query.  Work counters (rows, matches, blocks, compressed-eval
@@ -31,7 +31,6 @@ enum class PlanSource : uint8_t
     AdHoc = 0,     ///< no cache attached: private bind
     CacheHit = 1,  ///< served fresh from the plan cache
     CacheMiss = 2, ///< cache attached but had to (re)bind
-    PreBound = 3,  ///< Executor::execute with a caller-held plan
 };
 
 /** Stable lowercase name of @p s (renders and metric labels). */

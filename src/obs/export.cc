@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "util/logging.hh"
-#include "util/printer.hh"
 
 namespace dvp::obs
 {
@@ -144,37 +143,6 @@ exportPrometheus(const Registry &reg, const MetricFilter &keep)
 }
 
 std::string
-exportMetricsNdjson(const Registry &reg)
-{
-    std::string out;
-    reg.forEach([&](const std::string &name, const auto &metric) {
-        using M = std::decay_t<decltype(metric)>;
-        if constexpr (std::is_same_v<M, Counter>) {
-            appendf(out,
-                    "{\"type\":\"counter\",\"name\":\"%s\","
-                    "\"value\":%" PRIu64 "}\n",
-                    jsonEscape(name).c_str(), metric.value());
-        } else if constexpr (std::is_same_v<M, Gauge>) {
-            appendf(out,
-                    "{\"type\":\"gauge\",\"name\":\"%s\","
-                    "\"value\":%" PRId64 "}\n",
-                    jsonEscape(name).c_str(), metric.value());
-        } else if constexpr (std::is_same_v<M, Histogram>) {
-            appendf(out,
-                    "{\"type\":\"histogram\",\"name\":\"%s\","
-                    "\"count\":%" PRIu64 ",\"sum\":%" PRIu64
-                    ",\"p50\":%" PRIu64 ",\"p95\":%" PRIu64
-                    ",\"p99\":%" PRIu64 ",\"max\":%" PRIu64 "}\n",
-                    jsonEscape(name).c_str(), metric.count(),
-                    metric.sum(), metric.quantile(0.50),
-                    metric.quantile(0.95), metric.quantile(0.99),
-                    metric.maxValue());
-        }
-    });
-    return out;
-}
-
-std::string
 exportTraceNdjson(const Tracer &tracer)
 {
     std::string out;
@@ -191,35 +159,6 @@ exportTraceNdjson(const Tracer &tracer)
             "{\"type\":\"trace_summary\",\"recorded\":%" PRIu64
             ",\"dropped\":%" PRIu64 "}\n",
             tracer.recorded(), tracer.dropped());
-    return out;
-}
-
-std::string
-asciiSnapshot(const Registry &reg)
-{
-    TablePrinter scalars({"Metric", "Type", "Value"});
-    TablePrinter histos(
-        {"Histogram", "count", "p50", "p95", "p99", "max"});
-    reg.forEach([&](const std::string &name, const auto &metric) {
-        using M = std::decay_t<decltype(metric)>;
-        if constexpr (std::is_same_v<M, Counter>) {
-            scalars.addRow({name, "counter", fmtCount(metric.value())});
-        } else if constexpr (std::is_same_v<M, Gauge>) {
-            scalars.addRow({name, "gauge",
-                            std::to_string(metric.value())});
-        } else if constexpr (std::is_same_v<M, Histogram>) {
-            histos.addRow({name, fmtCount(metric.count()),
-                           fmtCount(metric.quantile(0.50)),
-                           fmtCount(metric.quantile(0.95)),
-                           fmtCount(metric.quantile(0.99)),
-                           fmtCount(metric.maxValue())});
-        }
-    });
-    std::string out = scalars.ascii();
-    if (histos.rows() > 0) {
-        out += "\n";
-        out += histos.ascii();
-    }
     return out;
 }
 

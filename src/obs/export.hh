@@ -6,9 +6,8 @@
  *    histogram buckets in the `le` convention) — deterministic for a
  *    deterministic metric state, so fixed-seed serial runs diff
  *    byte-for-byte;
- *  - NDJSON dumps of metrics and trace spans (one self-describing
- *    record per line, same spirit as the bench --json records);
- *  - an ASCII snapshot built on util/printer for humans.
+ *  - an NDJSON dump of trace spans (one self-describing record per
+ *    line, same spirit as the bench --json records).
  *
  * DumpScope ties the exporters to the CLI surface: construct it with
  * the --metrics / --trace paths and the files are written when the
@@ -47,14 +46,8 @@ using MetricFilter = std::function<bool(const std::string &)>;
 std::string exportPrometheus(const Registry &reg,
                              const MetricFilter &keep = {});
 
-/** One NDJSON record per metric (histograms carry quantiles). */
-std::string exportMetricsNdjson(const Registry &reg);
-
 /** One NDJSON record per completed span, oldest first. */
 std::string exportTraceNdjson(const Tracer &tracer);
-
-/** Human-readable registry snapshot (ASCII tables via util/printer). */
-std::string asciiSnapshot(const Registry &reg);
 
 /**
  * RAII dump of the global registry/tracer.

@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -292,8 +293,15 @@ class Registry
     static Registry &
     global()
     {
-        static Registry r;
-        return r;
+        // Never destroyed: static objects in other translation units
+        // (a test fixture's Dictionary, say) flush metrics from their
+        // own destructors, which may run after this one's would.  It
+        // lives in static storage, as a plain function-local static
+        // would: a heap block here would shift every later allocation
+        // and with it the simulated cache counters (Figs 6-7).
+        alignas(Registry) static unsigned char storage[sizeof(Registry)];
+        static Registry *r = new (storage) Registry;
+        return *r;
     }
 
   private:

@@ -10,7 +10,6 @@
 #include <fcntl.h>
 #include <fstream>
 #include <poll.h>
-#include <sstream>
 #include <sys/socket.h>
 #include <type_traits>
 #include <unistd.h>
@@ -51,21 +50,6 @@ setNonBlocking(int fd)
     int flags = ::fcntl(fd, F_GETFL, 0);
     if (flags >= 0)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-/** Cheap pre-classification: LOAD statements take the exclusive lock. */
-bool
-looksLikeLoad(const std::string &sql)
-{
-    size_t i = sql.find_first_not_of(" \t\r\n");
-    if (i == std::string::npos || sql.size() - i < 4)
-        return false;
-    const char *kw = "LOAD";
-    for (int k = 0; k < 4; ++k)
-        if (std::toupper(static_cast<unsigned char>(sql[i + k])) !=
-            kw[k])
-            return false;
-    return true;
 }
 
 /** The process-wide signal target (see installSignalHandlers). */
@@ -647,8 +631,7 @@ jsonEscape(const std::string &s)
 
 void
 Server::logSlowQuery(const Task &task, const sql::RunResult &r,
-                     uint64_t layoutEpoch,
-                     const engine::LoadStats *loadStats)
+                     uint64_t layoutEpoch)
 {
     std::string line = "{\"statement\":\"" + jsonEscape(task.sql) +
                        "\"";
@@ -671,13 +654,13 @@ Server::logSlowQuery(const Task &task, const sql::RunResult &r,
         }
         line += "}";
     }
-    if (loadStats != nullptr) {
+    if (r.load) {
         line += ",\"load\":{\"index_ns\":" +
-                std::to_string(loadStats->indexNs) +
-                ",\"flatten_ns\":" + std::to_string(loadStats->walkNs) +
-                ",\"encode_ns\":" + std::to_string(loadStats->encodeNs) +
-                ",\"docs\":" + std::to_string(loadStats->docs) +
-                ",\"bytes\":" + std::to_string(loadStats->bytes) + "}";
+                std::to_string(r.load->indexNs) +
+                ",\"flatten_ns\":" + std::to_string(r.load->walkNs) +
+                ",\"encode_ns\":" + std::to_string(r.load->encodeNs) +
+                ",\"docs\":" + std::to_string(r.load->docs) +
+                ",\"bytes\":" + std::to_string(r.load->bytes) + "}";
     }
     line += "}\n";
 
@@ -728,61 +711,6 @@ Server::executeTask(Task &task)
             hook();
     }
 
-    engine::LoadStats load_stats;
-    bool did_load = false;
-    sql::LoadHandler load;
-    if (cfg.allowLoad) {
-        load = [this, &load_stats, &did_load](const std::string &path) {
-            sql::LoadOutcome out;
-            std::ifstream in(path);
-            if (!in) {
-                out.error =
-                    "cannot open '" + path + "' on the server";
-                return out;
-            }
-            std::stringstream buf;
-            buf << in.rdbuf();
-            std::string text = buf.str();
-
-            // Tape-parse in parallel lanes, then ingest the flats in
-            // one batch: a parse error appends nothing, and readers see
-            // either none or all of the file (the batch holds the
-            // engine lock exclusive).
-            engine::LoadOptions opt;
-            opt.threads = cfg.loadThreads == 0 ? 1 : cfg.loadThreads;
-            opt.timeStages = true;
-            uint64_t t0 = nowNs();
-            std::vector<std::vector<json::FlatAttr>> flats;
-            std::string err = engine::parseNdjsonFlat(
-                text, opt, &load_stats,
-                [&](const std::vector<json::FlatAttr> &flat) {
-                    flats.push_back(flat);
-                });
-            if (err.empty()) {
-                uint64_t t_enc = nowNs();
-                engine->ingestFlatBatch(flats);
-                load_stats.encodeNs += nowNs() - t_enc;
-            }
-            DVP_HISTOGRAM_OBSERVE("dvp_parse_duration_ns",
-                                  nowNs() - t0);
-            did_load = true;
-            DVP_COUNTER_ADD("dvp_load_stage_ns_total{stage=\"index\"}",
-                            load_stats.indexNs);
-            DVP_COUNTER_ADD("dvp_load_stage_ns_total{stage=\"flatten\"}",
-                            load_stats.walkNs);
-            DVP_COUNTER_ADD("dvp_load_stage_ns_total{stage=\"encode\"}",
-                            load_stats.encodeNs);
-            if (!err.empty()) {
-                out.error = "parse error: " + err;
-                return out;
-            }
-            out.message = "ingested " +
-                          std::to_string(load_stats.docs) +
-                          " documents";
-            return out;
-        };
-    }
-
     sql::RunResult r;
     {
         // Client-propagated trace id, stamped into the span so a wire
@@ -795,13 +723,8 @@ Server::executeTask(Task &task)
             detail = trace_detail;
         }
         DVP_TRACE_SPAN(exec_span, "execute", detail);
-        uint64_t t0 = nowNs();
-        r = sql::runStatement(*engine, task.sql, load, cfg.allowInsert);
-        // runStatement leaves seconds at 0 for Message results; stamp
-        // the LOAD wall time so clients see execNs and the slow-query
-        // threshold applies to bulk ingest too.
-        if (looksLikeLoad(task.sql))
-            r.seconds = static_cast<double>(nowNs() - t0) / 1e9;
+        r = sql::runStatement(*engine, task.sql, cfg.allowLoad,
+                              cfg.allowInsert);
     }
 
     // Encode stage: digest + row encode + frame build, for errors too,
@@ -867,8 +790,7 @@ Server::executeTask(Task &task)
     if (r.ok && cfg.slowMs > 0 && !cfg.slowLogPath.empty() &&
         r.seconds * 1000.0 >= static_cast<double>(cfg.slowMs)) {
         DVP_COUNTER_INC("dvp_server_slow_queries_total");
-        logSlowQuery(task, r, r.stats.planEpoch,
-                     did_load ? &load_stats : nullptr);
+        logSlowQuery(task, r, r.stats.planEpoch);
     }
 
     DVP_HISTOGRAM_OBSERVE("dvp_server_request_ns",

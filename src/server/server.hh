@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "adaptive/adaptive_engine.hh"
-#include "engine/load.hh"
 #include "net/wire.hh"
 #include "sql/run.hh"
 
@@ -91,14 +90,6 @@ struct Config
      * error and the engine is never touched.
      */
     bool allowInsert = false;
-
-    /**
-     * Parser lanes for LOAD DATA (tape parser over newline-aligned
-     * chunks; see engine/load.hh).  The loaded database is
-     * bit-identical at any value — parallel parse, serial encode.
-     * 1 = fully serial.
-     */
-    size_t loadThreads = 4;
 
     /** Server name reported in HELLO_OK. */
     std::string name = "dvpd";
@@ -215,8 +206,7 @@ class Server
     void executeTask(Task &task);
     net::StatsBody buildStats();
     void logSlowQuery(const Task &task, const sql::RunResult &r,
-                      uint64_t layoutEpoch,
-                      const engine::LoadStats *loadStats = nullptr);
+                      uint64_t layoutEpoch);
 
     adaptive::AdaptiveEngine *engine;
     Config cfg;

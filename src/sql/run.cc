@@ -1,8 +1,11 @@
 #include "sql/run.hh"
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "json/tape.hh"
+#include "obs/metrics.hh"
 #include "sql/explain.hh"
 #include "sql/parser.hh"
 #include "util/timer.hh"
@@ -10,9 +13,81 @@
 namespace dvp::sql
 {
 
+namespace
+{
+
+/**
+ * LOAD DATA: read @p path, tape-parse it on the engine's lanes, and
+ * append the whole file with one ingest call — or nothing, when any
+ * line fails to parse.
+ */
+RunResult
+runLoad(adaptive::AdaptiveEngine &eng, const std::string &path)
+{
+    RunResult res;
+    res.errorKind = RunResult::Error::Exec;
+    Timer wall;
+    std::ifstream in(path);
+    if (!in) {
+        res.error = "cannot open '" + path + "'";
+        return res;
+    }
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+
+    engine::LoadOptions opt;
+    opt.threads = eng.threads();
+    opt.timeStages = true;
+    engine::LoadStats stats;
+    Timer parse;
+    std::vector<std::vector<json::FlatAttr>> flats;
+    std::string err = engine::parseNdjsonFlat(
+        text, opt, &stats,
+        [&](const std::vector<json::FlatAttr> &flat) {
+            flats.push_back(flat);
+        });
+    adaptive::IngestAck ack;
+    if (err.empty()) {
+        Timer encode;
+        ack = eng.ingest(flats);
+        stats.encodeNs += static_cast<uint64_t>(encode.seconds() * 1e9);
+    }
+    DVP_HISTOGRAM_OBSERVE("dvp_parse_duration_ns",
+                          static_cast<uint64_t>(parse.seconds() * 1e9));
+    res.seconds = wall.seconds();
+    res.load = stats;
+    DVP_COUNTER_ADD("dvp_load_stage_ns_total{stage=\"index\"}",
+                    stats.indexNs);
+    DVP_COUNTER_ADD("dvp_load_stage_ns_total{stage=\"flatten\"}",
+                    stats.walkNs);
+    DVP_COUNTER_ADD("dvp_load_stage_ns_total{stage=\"encode\"}",
+                    stats.encodeNs);
+    if (!err.empty()) {
+        res.error = "parse error: " + err + " (nothing loaded)";
+        return res;
+    }
+    if (!ack.walError.empty()) {
+        // Log-before-ack, exactly as INSERT.
+        res.error = "LOAD not durable: " + ack.walError;
+        return res;
+    }
+    char msg[96];
+    std::snprintf(msg, sizeof(msg), "LOAD %zu (%zu docs, epoch %llu)",
+                  ack.count, ack.totalDocs,
+                  static_cast<unsigned long long>(ack.epoch));
+    res.ok = true;
+    res.errorKind = RunResult::Error::None;
+    res.kind = RunResult::Kind::Message;
+    res.message = msg;
+    return res;
+}
+
+} // namespace
+
 RunResult
 runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
-             const LoadHandler &load, bool allowInsert)
+             bool allowLoad, bool allowInsert)
 {
     RunResult res;
     const engine::DataSet &data = eng.snapshot()->data();
@@ -33,21 +108,12 @@ runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
 
     switch (parsed.kind) {
       case StatementKind::Load: {
-        if (!load) {
+        if (!allowLoad) {
             res.errorKind = RunResult::Error::Unsupported;
             res.error = "LOAD DATA is not supported on this connection";
             return res;
         }
-        LoadOutcome outcome = load(parsed.loadFile);
-        if (!outcome.error.empty()) {
-            res.errorKind = RunResult::Error::Exec;
-            res.error = outcome.error;
-            return res;
-        }
-        res.ok = true;
-        res.kind = RunResult::Kind::Message;
-        res.message = outcome.message;
-        return res;
+        return runLoad(eng, parsed.loadFile);
       }
 
       case StatementKind::Insert: {
@@ -70,7 +136,7 @@ runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
             json::countParsedDoc(json::tapeSimdActive(), false,
                                  parsed.insertJson[i].size());
         }
-        adaptive::IngestAck ack = eng.ingestFlatBatch(docs);
+        adaptive::IngestAck ack = eng.ingest(docs);
         if (!ack.walError.empty()) {
             // Log-before-ack: the durable log refused the batch, so
             // the statement fails instead of acknowledging documents

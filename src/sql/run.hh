@@ -5,37 +5,26 @@
  * runStatement() is the single path from SQL text to an outcome —
  * parse, classify (query / EXPLAIN / LOAD / INSERT / CHECKPOINT),
  * execute, and map errors — shared by the interactive shell
- * (examples/dvpsh.cpp) and the network session handler (src/server).  Both front ends used to duplicate
- * this dispatch; keeping it here means an error class or statement
- * kind added once shows up everywhere with identical wording.
- *
- * LOAD DATA is environment-specific (a shell reads the user's file, a
- * server may refuse or read server-local paths), so the caller passes
- * a LoadHandler; without one, LOAD maps to an Unsupported error.
+ * (examples/dvpsh.cpp) and the network session handler (src/server).
+ * An error class or statement kind added here shows up in both with
+ * identical wording, and both front ends get identical write
+ * semantics: LOAD DATA and INSERT each make one
+ * AdaptiveEngine::ingest call, all-or-nothing, logged before acked.
  */
 
 #ifndef DVP_SQL_RUN_HH
 #define DVP_SQL_RUN_HH
 
-#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "adaptive/adaptive_engine.hh"
+#include "engine/load.hh"
 #include "engine/query.hh"
 
 namespace dvp::sql
 {
-
-/** Outcome of a LoadHandler invocation. */
-struct LoadOutcome
-{
-    std::string error;   ///< non-empty = the load failed
-    std::string message; ///< human summary on success
-};
-
-/** Environment hook executing LOAD DATA for @p path. */
-using LoadHandler = std::function<LoadOutcome(const std::string &path)>;
 
 /** Result of one statement. */
 struct RunResult
@@ -46,7 +35,7 @@ struct RunResult
         None,        ///< ok
         Parse,       ///< SQL did not parse (message has the offset)
         Exec,        ///< statement failed while executing
-        Unsupported, ///< statement kind this front end refuses
+        Unsupported, ///< statement kind this front end refuses (LOAD)
         ReadOnly,    ///< writes (INSERT) disabled on this connection
     };
 
@@ -65,7 +54,8 @@ struct RunResult
     engine::Query query;    ///< parsed query (Rows and EXPLAIN)
     engine::ResultSet rows; ///< Kind::Rows payload
     std::string message;    ///< Kind::Message payload
-    double seconds = 0;     ///< execution wall time (Rows only)
+    double seconds = 0; ///< execution wall time (Rows, EXPLAIN
+                        ///< ANALYZE, LOAD)
 
     /**
      * Per-query execution statistics, filled whenever the statement
@@ -76,22 +66,27 @@ struct RunResult
      */
     engine::QueryStats stats;
     bool hasStats = false;
+
+    /** Parse/encode breakdown of a LOAD DATA that read its file. */
+    std::optional<engine::LoadStats> load;
 };
 
 /**
  * Parse and run one statement against @p eng.  Queries execute through
  * AdaptiveEngine::execute (feeding workload statistics and possibly
  * triggering a repartition); EXPLAIN renders the bound plan with
- * plan-cache provenance under the engine's read lock; LOAD dispatches
- * to @p load; INSERT appends to the engine's partitions
- * (AdaptiveEngine::ingestFlatBatch) — the ack message carries the
- * appended count, the post-append document count, and the epoch.
- * @p allowInsert false maps INSERT to a ReadOnly error without
- * touching the engine.
+ * plan-cache provenance under the engine's read lock.  LOAD DATA reads
+ * the named JSON-lines file (a path local to this process), tape-parses
+ * it on eng.threads() lanes and, only when every line parsed, appends
+ * all of it with one AdaptiveEngine::ingest call; INSERT appends its
+ * documents the same way.  Either ack message carries the appended
+ * count; a failed WAL append or sync is an Exec error ("… not
+ * durable"), never an ack.  @p allowLoad false maps LOAD to an
+ * Unsupported error and @p allowInsert false maps INSERT to a
+ * ReadOnly error, both without touching the engine.
  */
 RunResult runStatement(adaptive::AdaptiveEngine &eng,
-                       const std::string &text,
-                       const LoadHandler &load = {},
+                       const std::string &text, bool allowLoad = false,
                        bool allowInsert = true);
 
 /**

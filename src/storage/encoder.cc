@@ -69,10 +69,4 @@ Encoder::encode(const std::vector<json::FlatAttr> &flat)
     return doc;
 }
 
-Document
-Encoder::encodeObject(const json::JsonValue &doc)
-{
-    return encode(json::flatten(doc));
-}
-
 } // namespace dvp::storage

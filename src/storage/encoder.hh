@@ -51,9 +51,6 @@ class Encoder
      */
     Document encode(const std::vector<json::FlatAttr> &flat);
 
-    /** Encode a parsed JSON object (flatten + encode). */
-    Document encodeObject(const json::JsonValue &doc);
-
     /** Oid that the next encode() will assign. */
     int64_t nextOid() const { return next_oid; }
 

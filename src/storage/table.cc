@@ -10,13 +10,13 @@ namespace dvp::storage
 {
 
 Table::Table(std::string name, std::vector<AttrId> schema, Arena &arena,
-             bool allow_pad, bool compress)
+             bool compress)
     : name_(std::move(name)), schema_(std::move(schema)), arena(&arena),
       compress_(compress)
 {
     invariant(!schema_.empty(), "a table needs at least one attribute");
     size_t payload = (1 + schema_.size()) * 8; // oid + attribute slots
-    size_t stride = allow_pad ? chooseStride(payload) : payload;
+    size_t stride = chooseStride(payload);
     stride_slots = stride / 8;
 
     AttrId max_id = *std::max_element(schema_.begin(), schema_.end());

@@ -73,8 +73,6 @@ class Table
      * @param name      debugging name ("p3", "argo1", ...)
      * @param schema    attribute ids stored, in column order
      * @param arena     allocator implementing the cache-line shift policy
-     * @param allow_pad when true, apply the narrow-padding decision of
-     *                  §IV; when false the stride is exactly the payload
      * @param compress  seal every full kZoneRows block into per-column
      *                  compressed form (storage/compress.hh); only the
      *                  tail block stays in raw record storage.  Zone
@@ -83,7 +81,7 @@ class Table
      *                  valid only for unsealed rows.
      */
     Table(std::string name, std::vector<AttrId> schema, Arena &arena,
-          bool allow_pad = true, bool compress = false);
+          bool compress = false);
 
     Table(Table &&) noexcept = default;
     Table &operator=(Table &&) noexcept = default;

@@ -246,7 +246,7 @@ TEST(AdaptiveEngine, IngestVisibleImmediately)
     json::JsonValue doc =
         nobench::generateDoc(w.cfg, rng,
                              static_cast<int64_t>(w.data.docs.size()));
-    int64_t oid = eng.ingest(doc);
+    int64_t oid = eng.ingest({json::flatten(doc)}).lastOid;
 
     Query q;
     q.kind = engine::QueryKind::Select;
@@ -315,7 +315,7 @@ TEST(AdaptiveEngine, IngestDuringBackgroundRepartitionIsCaughtUp)
             w.qs->instantiateShifted(i % nobench::kNumTemplates, rng));
         json::JsonValue doc = nobench::generateDoc(
             w.cfg, rng, static_cast<int64_t>(w.data.docs.size()));
-        new_oids.push_back(eng.ingest(doc));
+        new_oids.push_back(eng.ingest({json::flatten(doc)}).lastOid);
     }
     eng.quiesce();
 

@@ -45,7 +45,7 @@ class AnalyzeWorld : public ::testing::Test
                              "fixedSize");
         compressed = new Database(
             *data, layout::Layout::fixedSize(attrs, 12), "fixedSizeC",
-            /*allow_pad=*/true, nullptr, /*compress=*/true);
+            nullptr, /*compress=*/true);
     }
     static void
     TearDownTestSuite()
@@ -256,14 +256,6 @@ TEST_F(AnalyzeWorld, PlanSourceProvenance)
     cached.run(q, &s);
     EXPECT_EQ(s.planSource, PlanSource::CacheHit);
     EXPECT_STREQ(planSourceName(s.planSource), "hit");
-
-    // Caller-held plan: provenance says so, and plan time is zero by
-    // definition (binding happened outside the measured execution).
-    PhysicalPlan plan = bindPlan(*plain, q);
-    cached.execute(plan, q, &s);
-    EXPECT_EQ(s.planSource, PlanSource::PreBound);
-    EXPECT_STREQ(planSourceName(s.planSource), "prebound");
-    EXPECT_EQ(s.planNs, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -433,7 +433,7 @@ TEST(CompressedTable, AccessorsMatchRawTable)
     Rng rng(307);
     Arena arena;
     Table raw("raw", {0, 1, 2}, arena);
-    Table comp("comp", {0, 1, 2}, arena, true, true);
+    Table comp("comp", {0, 1, 2}, arena, /*compress=*/true);
     ASSERT_TRUE(comp.isCompressed());
     ASSERT_FALSE(raw.isCompressed());
 
@@ -545,8 +545,8 @@ struct CompressWorld
             plain.push_back(std::make_unique<Database>(
                 data, l.layout, l.name));
             comp.push_back(std::make_unique<Database>(
-                data, l.layout, std::string(l.name) + "+z", true,
-                nullptr, true));
+                data, l.layout, std::string(l.name) + "+z", nullptr,
+                true));
         }
     }
 
@@ -782,7 +782,7 @@ TEST(NullPredicates, ZonePruningSkipsDecidedBlocks)
     ASSERT_NE(b, storage::kNoAttr);
 
     Database db(data, Layout::rowBased(data.catalog.allAttrs()), "row",
-                true, nullptr, true);
+                nullptr, true);
     Query q;
     q.name = "Qb";
     q.kind = QueryKind::Select;
@@ -831,12 +831,10 @@ TEST(Observability, FootprintGaugesPublished)
                         w.comp[0]->name() +
                         "\",part=\"0\",form=\"used\"}"));
 
-    // Both exporters carry them.
+    // The exporter carries them.
     std::string prom = obs::exportPrometheus(reg);
     EXPECT_NE(prom.find("dvp_partition_bytes"), std::string::npos);
     EXPECT_NE(prom.find("dvp_db_bytes"), std::string::npos);
-    std::string ascii = obs::asciiSnapshot(reg);
-    EXPECT_NE(ascii.find("dvp_partition_bytes"), std::string::npos);
 }
 
 TEST(Observability, AttrBytesFeedTheCostModel)

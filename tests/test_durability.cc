@@ -625,10 +625,11 @@ TEST(Manager, CheckpointRecoverBitIdenticalDigests)
 
         // Acked ingests beyond the checkpoint live only in the WAL.
         Rng rng(7);
-        std::vector<json::JsonValue> batch;
+        std::vector<std::vector<json::FlatAttr>> batch;
         for (int i = 0; i < 20; ++i)
-            batch.push_back(nobench::generateDoc(w.cfg, rng, 300 + i));
-        adaptive::IngestAck ack = w.engine->ingestBatch(batch);
+            batch.push_back(
+                json::flatten(nobench::generateDoc(w.cfg, rng, 300 + i)));
+        adaptive::IngestAck ack = w.engine->ingest(batch);
         ASSERT_EQ(ack.walError, "");
         ASSERT_EQ(ack.totalDocs, 320u);
 
@@ -688,7 +689,8 @@ TEST(Manager, RestartAfterInPlaceGrowthRestoresEpochFingerprintDigests)
         // "a"/"s" exist in no NoBench doc: the layout grows two
         // singleton partitions and keeps its epoch.
         for (int i = 0; i < 3; ++i)
-            ASSERT_EQ(w.engine->ingestBatch({tinyDoc(i)}).walError, "");
+            ASSERT_EQ(
+                w.engine->ingest({json::flatten(tinyDoc(i))}).walError, "");
         EXPECT_EQ(w.engine->snapshot()->epoch(), epoch0);
         EXPECT_NE(w.engine->snapshot()->layoutFingerprint(), fingerprint0);
         CheckpointResult ck = w.mgr->checkpointNow();
@@ -696,7 +698,7 @@ TEST(Manager, RestartAfterInPlaceGrowthRestoresEpochFingerprintDigests)
         // Past the snapshot: one more acked ingest, adding "b".
         json::JsonValue doc = tinyDoc(3);
         doc.set("b", json::JsonValue(int64_t{42}));
-        ASSERT_EQ(w.engine->ingestBatch({doc}).walError, "");
+        ASSERT_EQ(w.engine->ingest({json::flatten(doc)}).walError, "");
 
         before = elevenDigests(*w.engine, w.data, w.cfg);
         tiny_before = tinyProject(*w.engine, w.data);
@@ -739,10 +741,11 @@ TEST(Manager, RecoverAfterLayoutSwapRestoresEpochAndLayout)
         uint64_t epoch0 = w.engine->snapshot()->epoch();
 
         Rng rng(8);
-        std::vector<json::JsonValue> batch;
+        std::vector<std::vector<json::FlatAttr>> batch;
         for (int i = 0; i < 40; ++i)
-            batch.push_back(nobench::generateDoc(w.cfg, rng, 200 + i));
-        adaptive::IngestAck ack = w.engine->ingestBatch(batch);
+            batch.push_back(
+                json::flatten(nobench::generateDoc(w.cfg, rng, 200 + i)));
+        adaptive::IngestAck ack = w.engine->ingest(batch);
         ASSERT_EQ(ack.walError, "");
 
         // A workload shift trips the change detector: the synchronous
@@ -809,12 +812,12 @@ TEST(Manager, CrashInjectionPrefixConsistentAtEveryByte)
             // Two clean batches after the seed checkpoint.
             for (int64_t b = 0; b < 2; ++b) {
                 adaptive::IngestAck a =
-                    w.engine->ingestBatch({tinyDoc(100 + b)});
+                    w.engine->ingest({json::flatten(tinyDoc(100 + b))});
                 ASSERT_EQ(a.walError, "");
             }
             FaultInjector::global().arm(budget);
             adaptive::IngestAck a =
-                w.engine->ingestBatch({tinyDoc(1000)});
+                w.engine->ingest({json::flatten(tinyDoc(1000))});
             FaultInjector::global().disarm();
             acked = a.walError.empty();
             EXPECT_EQ(acked, budget >= frame) << "budget " << budget;
@@ -876,7 +879,7 @@ TEST(Manager, CheckpointConcurrentWithQueriesAndIngest)
         int64_t oid = 5000;
         while (!stop.load(std::memory_order_relaxed)) {
             adaptive::IngestAck a =
-                w.engine->ingestBatch({tinyDoc(oid++)});
+                w.engine->ingest({json::flatten(tinyDoc(oid++))});
             ASSERT_EQ(a.walError, "");
         }
     });

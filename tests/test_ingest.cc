@@ -90,10 +90,10 @@ TEST(ChangeDetectorIngest, QueryAndDataWindowsAreIndependent)
 // Engine fixture: one NoBench data set shared by every ingest test.
 // ---------------------------------------------------------------------
 
-/** JSON document carrying two ingest-only integer attributes.  The
- * values are deterministic functions of @p k, so the digest of a scan
- * over them is a pure function of how many are visible. */
-json::JsonValue
+/** Flattened document carrying two ingest-only integer attributes.
+ * The values are deterministic functions of @p k, so the digest of a
+ * scan over them is a pure function of how many are visible. */
+std::vector<json::FlatAttr>
 ingestDoc(int64_t k)
 {
     char buf[96];
@@ -103,7 +103,7 @@ ingestDoc(int64_t k)
                   static_cast<long long>(k * 7 + 3));
     json::ParseResult r = json::parse(buf);
     EXPECT_TRUE(r.ok) << r.error;
-    return r.value;
+    return json::flatten(r.value);
 }
 
 /** The scan used throughout: every ingested doc matches, none of the
@@ -175,7 +175,7 @@ class IngestWorld : public ::testing::Test
         World ref;
         std::vector<Expected> expected(k_max + 1);
         for (size_t k = 1; k <= k_max; ++k) {
-            ref.engine->ingest(ingestDoc(static_cast<int64_t>(k)));
+            ref.engine->ingest({ingestDoc(static_cast<int64_t>(k))});
             sql::RunResult r =
                 sql::runStatement(*ref.engine, kIngestScan);
             EXPECT_TRUE(r.ok) << r.error;
@@ -198,13 +198,13 @@ TEST_F(IngestWorld, IngestAcksCarryCountAndEpoch)
     World w;
     size_t base_docs = w.data.docs.size();
     adaptive::IngestAck one =
-        w.engine->ingestBatch({ingestDoc(1)});
+        w.engine->ingest({ingestDoc(1)});
     EXPECT_EQ(one.count, 1u);
     EXPECT_EQ(one.totalDocs, base_docs + 1);
     EXPECT_EQ(one.lastOid, static_cast<int64_t>(base_docs));
 
     adaptive::IngestAck batch =
-        w.engine->ingestBatch({ingestDoc(2), ingestDoc(3)});
+        w.engine->ingest({ingestDoc(2), ingestDoc(3)});
     EXPECT_EQ(batch.count, 2u);
     EXPECT_EQ(batch.totalDocs, base_docs + 3);
     EXPECT_EQ(batch.lastOid, static_cast<int64_t>(base_docs + 2));
@@ -299,19 +299,18 @@ TEST_F(IngestWorld, InPlaceAppendsMatchAFreshBulkBuild)
 
             // Single INSERTs; the first one introduces ingq/ingv.
             for (int64_t k = 1; k <= 6; ++k) {
-                w.engine->ingest(ingestDoc(k));
+                w.engine->ingest({ingestDoc(k)});
                 check("insert " + std::to_string(k));
             }
             EXPECT_EQ(w.engine->snapshot()->tableCount(), tables0 + 2);
 
             // A batch that introduces another attribute mid-stream.
-            std::vector<json::JsonValue> batch;
+            std::vector<std::vector<json::FlatAttr>> batch;
             for (int64_t k = 7; k <= 9; ++k) {
-                json::JsonValue d = ingestDoc(k);
-                d.set("ingw", json::JsonValue(k * 11));
-                batch.push_back(std::move(d));
+                batch.push_back(ingestDoc(k));
+                batch.back().push_back({"ingw", json::JsonValue(k * 11)});
             }
-            w.engine->ingestBatch(batch);
+            w.engine->ingest(batch);
             check("new-attribute batch");
             EXPECT_EQ(w.engine->snapshot()->tableCount(), tables0 + 3);
 
@@ -322,17 +321,17 @@ TEST_F(IngestWorld, InPlaceAppendsMatchAFreshBulkBuild)
             size_t n = storage::kZoneRows -
                        w.data.docs.size() % storage::kZoneRows + 16;
             Rng rng(77);
-            std::vector<json::JsonValue> nb;
+            std::vector<std::vector<json::FlatAttr>> nb;
             for (size_t i = 0; i < n; ++i)
-                nb.push_back(nobench::generateDoc(
+                nb.push_back(json::flatten(nobench::generateDoc(
                     cfg, rng,
-                    static_cast<int64_t>(w.data.docs.size() + i)));
-            w.engine->ingestBatch(nb);
+                    static_cast<int64_t>(w.data.docs.size() + i))));
+            w.engine->ingest(nb);
             if (compress) {
                 EXPECT_GT(sealedBlocks(*w.engine->snapshot()), sealed0);
             }
             check("sealing batch");
-            w.engine->ingest(ingestDoc(10));
+            w.engine->ingest({ingestDoc(10)});
             check("insert after the seal");
 
             // Growth never swapped the database.
@@ -372,7 +371,7 @@ TEST_F(IngestWorld, AttributesBornDuringARepartitionKeepTheirCells)
             char buf[64];
             std::snprintf(buf, sizeof(buf), "{\"born%d\": %d}", k, k);
             json::ParseResult r = json::parse(buf);
-            w.engine->ingest(r.value);
+            w.engine->ingest({json::flatten(r.value)});
         }
         done.store(true, std::memory_order_release);
     });
@@ -424,7 +423,7 @@ TEST_F(IngestWorld, ConcurrentInsertsAndQueriesStayConsistent)
 
         // Seed one doc so the scan's attributes exist for parsing,
         // then share one parsed query across all reader threads.
-        w.engine->ingest(ingestDoc(1));
+        w.engine->ingest({ingestDoc(1)});
         engine::Query q;
         q.name = "ingest-scan";
         q.kind = engine::QueryKind::Select;
@@ -439,7 +438,7 @@ TEST_F(IngestWorld, ConcurrentInsertsAndQueriesStayConsistent)
         std::atomic<int> failures{0};
         std::thread writer([&] {
             for (size_t k = 2; k <= kDocs; ++k)
-                w.engine->ingest(ingestDoc(static_cast<int64_t>(k)));
+                w.engine->ingest({ingestDoc(static_cast<int64_t>(k))});
             writer_done.store(true, std::memory_order_release);
         });
 

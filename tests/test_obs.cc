@@ -277,22 +277,6 @@ TEST(Exporters, PrometheusFilterDropsMetrics)
     EXPECT_NE(text.find("t_events_total 3"), std::string::npos);
 }
 
-TEST(Exporters, MetricsNdjsonGolden)
-{
-    std::string text = exportMetricsNdjson(goldenRegistry());
-    EXPECT_NE(
-        text.find(
-            R"({"type":"counter","name":"t_events_total","value":3})"),
-        std::string::npos);
-    EXPECT_NE(text.find(R"({"type":"gauge","name":"t_depth","value":-5})"),
-              std::string::npos);
-    // Histogram record: name JSON-escaped, quantiles within 2x.
-    EXPECT_NE(text.find(R"("name":"t_lat{op=\"x\"}")"),
-              std::string::npos);
-    EXPECT_NE(text.find(R"("count":3,"sum":6)"), std::string::npos);
-    EXPECT_NE(text.find(R"("max":3})"), std::string::npos);
-}
-
 TEST(Exporters, TraceNdjsonCarriesSpansAndSummary)
 {
     Tracer t;
@@ -305,14 +289,6 @@ TEST(Exporters, TraceNdjsonCarriesSpansAndSummary)
     EXPECT_NE(
         text.find(R"({"type":"trace_summary","recorded":1,"dropped":0})"),
         std::string::npos);
-}
-
-TEST(Exporters, AsciiSnapshotListsEveryMetric)
-{
-    std::string text = asciiSnapshot(goldenRegistry());
-    EXPECT_NE(text.find("t_events_total"), std::string::npos);
-    EXPECT_NE(text.find("t_depth"), std::string::npos);
-    EXPECT_NE(text.find("t_lat"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

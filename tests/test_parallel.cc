@@ -358,8 +358,7 @@ TEST(GroupFold, SqlQ10DigestEqualsThePaperTemplateOnEveryLayout)
     EXPECT_GT(want.rowCount(), 1u);
     for (bool compress : {false, true}) {
         for (const auto &[name, db] : g.partitioned) {
-            Database copy(w.data, db->layout(), name, true, nullptr,
-                          compress);
+            Database copy(w.data, db->layout(), name, nullptr, compress);
             ASSERT_EQ(copy.compressed(), compress);
             for (size_t threads : {1u, 4u}) {
                 SCOPED_TRACE(name + (compress ? " compressed" : "") +

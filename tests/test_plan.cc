@@ -309,15 +309,6 @@ TEST_F(PlanWorld, CachedExecutionLeavesSimCountersUnchanged)
     }
 }
 
-TEST_F(PlanWorld, PreboundExecuteRejectsForeignPlans)
-{
-    Rng rng(6);
-    Query q = qs->instantiate(nobench::kQ1, rng);
-    PhysicalPlan plan = bindPlan(*row, q);
-    Executor exec(*fixed);
-    EXPECT_DEATH(exec.execute(plan, q), "different database");
-}
-
 // ---------------------------------------------------------------------
 // Adaptive swaps.
 // ---------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -34,6 +35,7 @@
 
 #include "adaptive/adaptive_engine.hh"
 #include "client/client.hh"
+#include "durability/manager.hh"
 #include "net/socket.hh"
 #include "net/wire.hh"
 #include "nobench/generator.hh"
@@ -44,6 +46,7 @@
 #include "server/http.hh"
 #include "server/server.hh"
 #include "sql/run.hh"
+#include "util/fault.hh"
 
 namespace dvp
 {
@@ -1003,16 +1006,49 @@ TEST_F(ServerWorld, GracefulDrainDeliversInflightAndRefusesNew)
     EXPECT_LT(fd, 0);
 }
 
-TEST_F(ServerWorld, LoadDataOverTheWire)
+/**
+ * Write a 25-line JSON-lines file named @p name under the test temp
+ * dir; a nonzero @p badLine (1-based) is not JSON.  Returns the path.
+ */
+std::string
+writeLoadFile(const std::string &name, int badLine = 0)
 {
-    // Q12: bulk ingest through the server, gated by Config::allowLoad.
-    std::string path = ::testing::TempDir() + "dvp_server_load.jsonl";
-    {
-        std::ofstream out(path);
-        for (int i = 0; i < 25; ++i)
+    std::string path = ::testing::TempDir() + name;
+    std::ofstream out(path);
+    for (int i = 0; i < 25; ++i) {
+        if (i + 1 == badLine)
+            out << "{\"num\": oops}\n";
+        else
             out << "{\"num\": " << (9000000 + i)
                 << ", \"str1\": \"wire_load_" << i << "\"}\n";
     }
+    return path;
+}
+
+/** LOAD DATA statement for @p path. */
+std::string
+loadSql(const std::string &path)
+{
+    return "LOAD DATA LOCAL INFILE '" + path + "' REPLACE INTO TABLE t";
+}
+
+/** dvp_parsed_docs_total summed over every parser form. */
+uint64_t
+parsedDocs()
+{
+    uint64_t n = 0;
+    for (const char *form : {"tape_avx2", "tape_scalar", "dom"})
+        n += obs::Registry::global()
+                 .counter(std::string("dvp_parsed_docs_total{form=\"") +
+                          form + "\"}")
+                 .value();
+    return n;
+}
+
+TEST_F(ServerWorld, LoadDataOverTheWire)
+{
+    // Q12: bulk ingest through the server, gated by Config::allowLoad.
+    std::string path = writeLoadFile("dvp_server_load.jsonl");
 
     {
         // Default config refuses LOAD with a typed Unsupported error.
@@ -1021,9 +1057,7 @@ TEST_F(ServerWorld, LoadDataOverTheWire)
         ASSERT_EQ(srv.start(), "");
         client::Client c;
         ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
-        client::Result r =
-            c.query("LOAD DATA LOCAL INFILE '" + path +
-                    "' REPLACE INTO TABLE t");
+        client::Result r = c.query(loadSql(path));
         EXPECT_FALSE(r.ok);
         EXPECT_EQ(r.errorCode, net::ErrorCode::Unsupported);
         c.close();
@@ -1039,12 +1073,18 @@ TEST_F(ServerWorld, LoadDataOverTheWire)
     ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
 
     uint64_t docs_before = c.stats().get("docs");
-    client::Result r = c.query("LOAD DATA LOCAL INFILE '" + path +
-                               "' REPLACE INTO TABLE t");
+    obs::Histogram &parse_ns =
+        obs::Registry::global().histogram("dvp_parse_duration_ns");
+    uint64_t parses0 = parse_ns.count();
+    uint64_t parsed0 = parsedDocs();
+    client::Result r = c.query(loadSql(path));
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_TRUE(r.isMessage);
     EXPECT_NE(r.message.find("25"), std::string::npos);
     EXPECT_EQ(c.stats().get("docs"), docs_before + 25);
+    // One LOAD is one parse observation over its 25 documents.
+    EXPECT_EQ(parse_ns.count(), parses0 + 1);
+    EXPECT_EQ(parsedDocs(), parsed0 + 25);
 
     // The ingested rows are immediately queryable on this connection.
     client::Result probe = c.query(
@@ -1061,6 +1101,82 @@ TEST_F(ServerWorld, LoadDataOverTheWire)
 
     c.close();
     srv.stop();
+    std::remove(path.c_str());
+}
+
+TEST_F(ServerWorld, LoadWithABadLineAppendsNothing)
+{
+    // LOAD is all-or-nothing on every front end: line 13 of 25 does not
+    // parse, so none of the 12 lines before it are appended either.
+    std::string path = writeLoadFile("dvp_server_load_bad.jsonl", 13);
+
+    World w;
+    server::Config scfg;
+    scfg.allowLoad = true;
+    server::Server srv(*w.engine, scfg);
+    ASSERT_EQ(srv.start(), "");
+    client::Client c;
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
+    uint64_t docs0 = c.stats().get("docs");
+    client::Result r = c.query(loadSql(path));
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.errorCode, net::ErrorCode::Exec);
+    EXPECT_NE(r.error.find("line 13"), std::string::npos) << r.error;
+    EXPECT_EQ(c.stats().get("docs"), docs0);
+    c.close();
+    srv.stop();
+
+    // The shell's path: runStatement with LOAD and INSERT allowed.
+    size_t local0 = w.engine->snapshot()->docCount();
+    sql::RunResult local =
+        sql::runStatement(*w.engine, loadSql(path), true, true);
+    EXPECT_FALSE(local.ok);
+    EXPECT_EQ(local.errorKind, sql::RunResult::Error::Exec);
+    EXPECT_NE(local.error.find("line 13"), std::string::npos)
+        << local.error;
+    EXPECT_EQ(w.engine->snapshot()->docCount(), local0);
+    std::remove(path.c_str());
+}
+
+TEST_F(ServerWorld, LoadWhoseWalAppendFailsIsNotAcknowledged)
+{
+    // Log-before-ack holds for LOAD as it does for INSERT: when the WAL
+    // refuses the batch, the client gets a typed error, not an ack, and
+    // the batch is not appended.
+    namespace fs = std::filesystem;
+    std::string path = writeLoadFile("dvp_server_load_wal.jsonl");
+    std::string dir = ::testing::TempDir() + "dvp_server_load_wal";
+    fs::remove_all(dir);
+    {
+        World w;
+        durability::Config dcfg;
+        dcfg.dir = dir;
+        dcfg.fsyncPolicy = durability::FsyncPolicy::None;
+        durability::Manager mgr(dcfg);
+        durability::RecoveryInfo info;
+        ASSERT_EQ(mgr.open(w.data, info), "");
+        w.engine->setDurability(&mgr);
+
+        server::Config scfg;
+        scfg.allowLoad = true;
+        server::Server srv(*w.engine, scfg);
+        ASSERT_EQ(srv.start(), "");
+        client::Client c;
+        ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
+        uint64_t docs0 = c.stats().get("docs");
+
+        FaultInjector::global().arm(0);
+        client::Result r = c.query(loadSql(path));
+        FaultInjector::global().disarm();
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.errorCode, net::ErrorCode::Exec);
+        EXPECT_NE(r.error.find("not durable"), std::string::npos)
+            << r.error;
+        EXPECT_EQ(c.stats().get("docs"), docs0);
+        c.close();
+        srv.stop();
+    }
+    fs::remove_all(dir);
     std::remove(path.c_str());
 }
 

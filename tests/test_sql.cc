@@ -394,8 +394,8 @@ TEST_F(SqlWorld, RoundTripsMatchHandBuiltTemplates)
             // SQL binds COUNT(*) GROUP BY to the columns it reads; the
             // hand-built template keeps the paper's SELECT * sub-query
             // (§VI-B).  Same groups, counts and digest; fewer cells.
-            engine::ResultSet got = exec.execute(parsed, r.query);
-            engine::ResultSet want = exec.execute(hand, c.q);
+            engine::ResultSet got = exec.run(r.query);
+            engine::ResultSet want = exec.run(c.q);
             EXPECT_FALSE(got.rows.empty());
             EXPECT_EQ(got.rows, want.rows);
             EXPECT_EQ(got.digest(), want.digest());
@@ -432,9 +432,8 @@ TEST_F(SqlWorld, RoundTripsMatchHandBuiltTemplates)
                   hand.describe(*db).substr(hand.describe(*db)
                                                 .find('\n')));
 
-        // ...and bit-identical results through the pre-bound API.
-        EXPECT_EQ(exec.execute(parsed, r.query).digest(),
-                  exec.execute(hand, c.q).digest());
+        // ...and bit-identical results.
+        EXPECT_EQ(exec.run(r.query).digest(), exec.run(c.q).digest());
     }
 }
 
@@ -469,7 +468,7 @@ TEST_F(SqlWorld, InsertRoundTripQ12)
     engine::PhysicalPlan plan = engine::bindPlan(local, q12);
     EXPECT_EQ(plan.kind, QueryKind::Insert);
     engine::Executor exec(local);
-    exec.execute(plan, q12);
+    exec.run(q12);
     EXPECT_EQ(local.docCount(), before + 8);
 }
 

@@ -154,7 +154,7 @@ TEST(Encoder, EncodesScalarsAndInterns)
     Encoder enc(cat, dict);
     auto parsed = json::parse(R"({"s":"abc","n":7,"b":true})");
     ASSERT_TRUE(parsed.ok);
-    Document doc = enc.encodeObject(parsed.value);
+    Document doc = enc.encode(json::flatten(parsed.value));
     EXPECT_EQ(doc.oid, 0);
     ASSERT_EQ(doc.attrs.size(), 3u);
     EXPECT_EQ(doc.slotOf(cat.find("n")), 7);
@@ -171,7 +171,7 @@ TEST(Encoder, SkipsJsonNulls)
     Encoder enc(cat, dict);
     auto parsed = json::parse(R"({"a":null,"b":2})");
     ASSERT_TRUE(parsed.ok);
-    Document doc = enc.encodeObject(parsed.value);
+    Document doc = enc.encode(json::flatten(parsed.value));
     EXPECT_EQ(doc.attrs.size(), 1u);
     EXPECT_TRUE(isNull(doc.slotOf(cat.find("a"))));
 }
@@ -183,8 +183,8 @@ TEST(Encoder, AssignsSequentialOids)
     Encoder enc(cat, dict);
     auto parsed = json::parse(R"({"x":1})");
     ASSERT_TRUE(parsed.ok);
-    EXPECT_EQ(enc.encodeObject(parsed.value).oid, 0);
-    EXPECT_EQ(enc.encodeObject(parsed.value).oid, 1);
+    EXPECT_EQ(enc.encode(json::flatten(parsed.value)).oid, 0);
+    EXPECT_EQ(enc.encode(json::flatten(parsed.value)).oid, 1);
     EXPECT_EQ(enc.nextOid(), 2);
 }
 
@@ -409,17 +409,14 @@ TEST_F(TableTest, PaddingDecisionApplied)
 {
     // 8 attributes -> 72-byte payload with oid; check the decision is
     // consistent with the analytic model either way.
-    Table t("p", {0, 1, 2, 3, 4, 5, 6, 7}, arena, true);
+    Table t("p", {0, 1, 2, 3, 4, 5, 6, 7}, arena);
     EXPECT_EQ(t.strideBytes(), chooseStride(72));
-
-    Table unpadded("u", {0, 1, 2, 3, 4, 5, 6, 7}, arena, false);
-    EXPECT_EQ(unpadded.strideBytes(), 72u);
-    EXPECT_FALSE(unpadded.padded());
+    EXPECT_EQ(t.padded(), chooseStride(72) != 72u);
 }
 
 TEST_F(TableTest, PaddingSlotsAreZeroed)
 {
-    Table t("p", {0, 1, 2, 3, 4, 5, 6, 7}, arena, true);
+    Table t("p", {0, 1, 2, 3, 4, 5, 6, 7}, arena);
     Slot v[] = {1, 2, 3, 4, 5, 6, 7, 8};
     t.append(0, v);
     const Slot *rec = t.record(0);
@@ -429,7 +426,8 @@ TEST_F(TableTest, PaddingSlotsAreZeroed)
 
 TEST_F(TableTest, StorageBytesMatchesStride)
 {
-    Table t("t", {0, 1}, arena, false);
+    // 24-byte payload: the padding decision keeps it unpadded.
+    Table t("t", {0, 1}, arena);
     Slot v[] = {1, 2};
     t.append(0, v);
     t.append(1, v);
