@@ -45,22 +45,25 @@ printResult(const client::Result &r)
         std::printf("%s%s", c ? "\t" : "", r.columns[c].c_str());
     if (!r.columns.empty())
         std::printf("\n");
-    for (const auto &row : r.rows) {
+    for (net::RowView row : r.rows) {
         for (size_t c = 0; c < row.size(); ++c) {
-            const net::Cell &cell = row[c];
+            net::CellView cell = row[c];
             if (c)
                 std::printf("\t");
-            switch (cell.kind) {
-              case net::Cell::Kind::Null:
+            switch (cell.kind()) {
+              case net::CellKind::Null:
                 std::printf("NULL");
                 break;
-              case net::Cell::Kind::Int:
+              case net::CellKind::Int:
                 std::printf("%lld",
-                            static_cast<long long>(cell.i));
+                            static_cast<long long>(cell.integer()));
                 break;
-              case net::Cell::Kind::Str:
-                std::printf("%s", cell.s.c_str());
+              case net::CellKind::Str: {
+                std::string_view text = cell.text();
+                std::printf("%.*s", static_cast<int>(text.size()),
+                            text.data());
                 break;
+              }
             }
         }
         std::printf("\n");

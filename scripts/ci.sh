@@ -124,6 +124,30 @@ print(f"compression smoke: {len(rows)} NDJSON rows, "
       f"row ratio {ratios['row']:.1f}x ok")
 EOF
 
+echo "=== result path ==="
+# The serving path of every Q1-Q11 result in one process, stage by
+# stage: the bench aborts unless each decoded RESULT frame carries the
+# in-process ResultSet's digest, rows, oids and cells, and its NDJSON
+# must carry every stage for every class.
+./build-ci/bench/bench_result_path --docs 2000 --repeats 3 --threads 1 \
+    --json "$OBS_TMP/result_path.ndjson" > /dev/null
+python3 - "$OBS_TMP" <<'EOF'
+import json, sys
+rows = [json.loads(l) for l in open(f"{sys.argv[1]}/result_path.ndjson")]
+assert rows and all(r["bench"] == "result_path" for r in rows)
+assert all("rss_peak_bytes" in r for r in rows)
+m = {(r["query"], r["metric"]): r["value"] for r in rows}
+stages = ["exec", "digest", "encode", "frame", "assemble", "decode",
+          "destroy"]
+for q in [f"Q{i}" for i in range(1, 12)]:
+    assert m[(q, "rows")] >= 0 and m[(q, "cells")] >= 0, q
+    for s in stages:
+        assert m[(q, f"{s}_ms")] >= 0, (q, s)
+assert m[("Q1", "rows")] > 0 and m[("round", "exec_ms")] > 0, m
+print(f"result path smoke: {len(rows)} NDJSON rows, round "
+      f"{sum(m[('round', f'{s}_ms')] for s in stages):.2f} ms ok")
+EOF
+
 echo "=== network server ==="
 # End-to-end over real sockets: dvpd on an ephemeral port discovered
 # via --port-file, a dvp_client smoke (query + EXPLAIN + stats), a
@@ -495,11 +519,12 @@ echo "=== address-sanitizer build ==="
 # plan outliving its Database (epoch guard), swap invalidation racing
 # executions, and layout mutations under randomized move sequences.
 # test_persist adds static-destruction order: fixtures whose
-# destructors flush metrics after main() returns.
+# destructors flush metrics after main() returns.  test_engine and
+# test_argo add the offset arithmetic of the flat result rows.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDVP_SANITIZE=address
 cmake --build build-asan -j "$JOBS"
 DVP_TEST_DOCS=800 ctest --test-dir build-asan --output-on-failure \
-    -j "$JOBS" -R 'test_plan|test_adaptive|test_layout|test_kernels|test_compress|test_server|test_analyze|test_ingest|test_json_tape|test_durability|test_persist'
+    -j "$JOBS" -R 'test_plan|test_adaptive|test_layout|test_kernels|test_compress|test_server|test_analyze|test_ingest|test_json_tape|test_durability|test_persist|test_engine|test_argo'
 
 echo "ci.sh: all suites passed"

@@ -159,7 +159,7 @@ class Exec
                     rs.checksum ^=
                         engine::resultCellDigest(attrs[i], row[i]);
             rs.oids.push_back(oid);
-            rs.rows.push_back(std::move(row));
+            rs.rows.append(row);
         }
         return rs;
     }
@@ -303,7 +303,7 @@ class Exec
             for (int64_t oid : {loid, roid})
                 for (const ArgoTable *t : allTables())
                     retrieveFrom(*t, oid, t->lowerBound(oid), digest);
-            rs.rows.push_back({loid, roid});
+            rs.rows.append({loid, roid});
         }
         return rs;
     }

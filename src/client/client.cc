@@ -59,6 +59,7 @@ Client::connect(const std::string &host, uint16_t port,
         return "already connected";
 
     std::string err;
+    in = net::FrameAssembler{}; // nothing of an earlier connection
     fd = net::connectTcp(host, port, timeout_ms, &err);
     if (fd < 0)
         return err;
@@ -101,14 +102,26 @@ Client::connect(const std::string &host, uint16_t port,
     return "";
 }
 
+namespace
+{
+
+Result
+failed(net::ErrorCode code, std::string message)
+{
+    Result r;
+    r.errorCode = code;
+    r.error = std::move(message);
+    return r;
+}
+
+} // namespace
+
 Result
 Client::query(const std::string &sql)
 {
-    Result r;
-    if (!connected()) {
-        r.error = "not connected";
-        return r;
-    }
+    using net::ErrorCode;
+    if (!connected())
+        return failed(ErrorCode::ConnectionLost, "not connected");
 
     net::QueryBody q;
     q.sql = sql;
@@ -117,39 +130,32 @@ Client::query(const std::string &sql)
         q.traceId = trace_id;
     }
     if (!sendFrame(net::FrameType::Query,
-                   encodeQuery(q, feature_level))) {
-        r.error = "send failed (connection lost)";
-        return r;
-    }
+                   encodeQuery(q, feature_level)))
+        return failed(ErrorCode::ConnectionLost,
+                      "send failed (connection lost)");
 
     net::Frame f;
     std::string err;
-    if (!readFrame(f, &err)) {
-        r.error = err.empty() ? "connection closed by server" : err;
-        return r;
-    }
+    if (!readFrame(f, &err))
+        return failed(in.error() ? ErrorCode::Protocol
+                                 : ErrorCode::ConnectionLost,
+                      err.empty() ? "connection closed by server" : err);
 
     if (f.type == net::FrameType::Error) {
         net::ErrorBody e;
-        if (!decodeError(f.payload, e)) {
-            r.error = "malformed ERROR frame";
-            return r;
-        }
-        r.errorCode = e.code;
-        r.error = e.message;
-        return r;
+        if (!decodeError(f.payload, e))
+            return failed(ErrorCode::Protocol, "malformed ERROR frame");
+        return failed(e.code, std::move(e.message));
     }
-    if (f.type != net::FrameType::Result) {
-        r.error = std::string("unexpected frame ") +
-                  net::frameTypeName(f.type);
-        return r;
-    }
+    if (f.type != net::FrameType::Result)
+        return failed(ErrorCode::Protocol,
+                      std::string("unexpected frame ") +
+                          net::frameTypeName(f.type));
 
+    Result r;
     net::ResultBody body;
-    if (!decodeResult(f.payload, body)) {
-        r.error = "malformed RESULT frame";
-        return r;
-    }
+    if (!decodeResult(std::move(f.payload), body, r.rows))
+        return failed(ErrorCode::Protocol, "malformed RESULT frame");
     r.ok = true;
     if (body.kind == net::ResultBody::Kind::Message) {
         r.isMessage = true;
@@ -157,7 +163,6 @@ Client::query(const std::string &sql)
     } else {
         r.columns = std::move(body.columns);
         r.oids = std::move(body.oids);
-        r.rows = std::move(body.rows);
         r.digest = body.digest;
         r.checksum = body.checksum;
     }

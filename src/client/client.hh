@@ -4,10 +4,11 @@
  *
  * dvp::client::Client is a small blocking connection handle: connect()
  * performs the HELLO handshake, query() runs one SQL statement and
- * returns a typed Result (rows of net::Cell, or a message, or a typed
- * error), stats() fetches server counters, close() says goodbye.  One
- * Client is one TCP connection and is not thread-safe; open one per
- * thread (the server multiplexes arbitrarily many).
+ * returns a typed Result (rows read in place from the RESULT payload,
+ * or a message, or a typed error), stats() fetches server counters,
+ * close() says goodbye.  One Client is one TCP connection and is not
+ * thread-safe; open one per thread (the server multiplexes arbitrarily
+ * many).
  */
 
 #ifndef DVP_CLIENT_CLIENT_HH
@@ -42,10 +43,13 @@ struct Result
     bool isMessage = false;
     std::string message;
 
-    /** Row-kind results. */
+    /**
+     * Row-kind results.  rows[r][c] is a net::CellView: kind(),
+     * integer(), text() read straight from the kept payload.
+     */
     std::vector<std::string> columns;
     std::vector<int64_t> oids;
-    std::vector<std::vector<net::Cell>> rows;
+    net::DecodedRows rows;
     uint64_t digest = 0;   ///< engine::ResultSet::digest() equivalent
     uint64_t checksum = 0; ///< engine::ResultSet::checksum equivalent
     uint64_t execNs = 0;   ///< server-side statement wall time

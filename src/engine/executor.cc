@@ -328,7 +328,7 @@ class Exec
                                 cellDigest(schema[c], rec[1 + c]);
                 }
             }
-            rs.rows.push_back({loid, roid});
+            rs.rows.append({loid, roid});
         }
         return rs;
     }
@@ -700,22 +700,29 @@ class Exec
         return bounds;
     }
 
-    /** Concatenate ordered partial results; XOR-merge checksums. */
+    /**
+     * Concatenate ordered partial results into one flat buffer sized
+     * once; XOR-merge checksums.  Each partial is freed as soon as it
+     * is copied.
+     */
     static ResultSet
     merge(std::vector<ResultSet> parts)
     {
         DVP_TRACE_SPAN(merge_span, "merge", "concat partials");
         ResultSet rs;
-        size_t total = 0;
-        for (const ResultSet &p : parts)
+        size_t total = 0, width = 0;
+        for (const ResultSet &p : parts) {
             total += p.rows.size();
+            if (!p.rows.empty())
+                width = p.rows.width();
+        }
         rs.oids.reserve(total);
-        rs.rows.reserve(total);
+        rs.rows.reserve(total, width);
         for (ResultSet &p : parts) {
             rs.checksum ^= p.checksum;
             rs.oids.insert(rs.oids.end(), p.oids.begin(), p.oids.end());
-            std::move(p.rows.begin(), p.rows.end(),
-                      std::back_inserter(rs.rows));
+            rs.rows.append(p.rows);
+            p = ResultSet{};
         }
         return rs;
     }
@@ -881,16 +888,16 @@ class Exec
                  int64_t hi)
     {
         ResultSet rs;
+        const size_t width = op.attrs.size();
         size_t est = spanEstimate(tables, lo, hi);
         rs.oids.reserve(est);
-        rs.rows.reserve(est);
-        std::vector<Slot> row(op.attrs.size(), kNullSlot);
+        rs.rows.reserve(est, width);
         mergeScan(tables, lo, hi,
                   [&](int64_t oid,
                       const std::vector<storage::RowIdx> &rows) {
+            Slot *row = rs.rows.appendRow(width);
             bool any = false;
-            for (size_t i = 0; i < op.attrs.size(); ++i) {
-                row[i] = kNullSlot;
+            for (size_t i = 0; i < width; ++i) {
                 if (op.tbl_slot[i] < 0 ||
                     rows[op.tbl_slot[i]] == storage::kNoRow)
                     continue;
@@ -904,10 +911,10 @@ class Exec
                     rs.checksum ^= cellDigest(op.attrs[i], s);
                 }
             }
-            if (any) {
+            if (any)
                 rs.oids.push_back(oid);
-                rs.rows.push_back(row);
-            }
+            else
+                rs.rows.popRow();
         });
         return rs;
     }

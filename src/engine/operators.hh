@@ -93,26 +93,28 @@ struct GroupCounts
  * only decides what to keep.
  */
 
-/** Select: one dense row per match. */
+/** Select: one dense row per match, appended to the flat rows. */
 struct RowSink
 {
     ResultSet out;
-    std::vector<storage::Slot> row;
+    size_t reserved = 0; ///< rows to reserve once the width is known
+    storage::Slot *row = nullptr;
 
     void
     reserve(size_t n)
     {
         out.oids.reserve(n);
-        out.rows.reserve(n);
+        reserved = n;
     }
-    void begin(size_t width) { row.assign(width, storage::kNullSlot); }
-    void cell(size_t i, storage::Slot s) { row[i] = s; }
     void
-    end(int64_t oid)
+    begin(size_t width)
     {
-        out.oids.push_back(oid);
-        out.rows.push_back(std::move(row));
+        if (out.rows.empty())
+            out.rows.reserve(reserved, width);
+        row = out.rows.appendRow(width);
     }
+    void cell(size_t i, storage::Slot s) { row[i] = s; }
+    void end(int64_t oid) { out.oids.push_back(oid); }
 };
 
 /**
@@ -170,9 +172,9 @@ aggregate(Backend &b, const Query &q)
     std::sort(sorted.begin(), sorted.end());
     ResultSet rs;
     rs.checksum = groups.checksum;
-    rs.rows.reserve(sorted.size());
+    rs.rows.reserve(sorted.size(), 2);
     for (const auto &[key, count] : sorted)
-        rs.rows.push_back({key, static_cast<storage::Slot>(count)});
+        rs.rows.append({key, static_cast<storage::Slot>(count)});
     return rs;
 }
 

@@ -1,9 +1,9 @@
 #include "engine/query.hh"
 
 #include <algorithm>
-#include <array>
-#include <numeric>
+#include <bit>
 #include <set>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -60,24 +60,51 @@ resultCellDigest(AttrId attr, Slot s)
     return v;
 }
 
+void
+ResultRows::adoptWidth(size_t width)
+{
+    if (count_ == 0)
+        width_ = width;
+    invariant(width == width_, "result rows must share one width");
+}
+
+void
+ResultRows::assign(iterator first, iterator last)
+{
+    width_ = first.width;
+    count_ = static_cast<size_t>(last - first);
+    slots_.assign(first.base + first.idx * width_,
+                  first.base + last.idx * width_);
+}
+
+void
+ResultRows::append(const ResultRows &other)
+{
+    if (other.empty())
+        return;
+    adoptWidth(other.width_);
+    slots_.insert(slots_.end(), other.slots_.begin(), other.slots_.end());
+    count_ += other.count_;
+}
+
 namespace
 {
 
 /**
- * Row indices of @p rs in canonical (lexicographic) order; no row is
+ * Row indices of @p rows in canonical (lexicographic) order; no row is
  * copied.  An LSD radix sort orders the rows by their first cell, then
- * each run of equal first cells is sorted by the full row comparison.
- * Equal rows are identical, so the order among them changes neither
- * the digest nor equality.
+ * each run of equal first cells longer than one row is sorted by the
+ * full row comparison.  Equal rows are identical, so the order among
+ * them changes neither the digest nor equality.
  */
 std::vector<uint32_t>
-canonicalOrder(const ResultSet &rs)
+canonicalOrder(const ResultRows &rows)
 {
-    const auto &rows = rs.rows;
     const size_t n = rows.size();
+    const size_t width = rows.width();
+    const Slot *cells = rows.slots().data();
     // Key: the first cell with its sign bit flipped, so unsigned order
-    // is Slot order.  An empty row gets the smallest key; the tie sort
-    // puts it before the rows sharing that key.
+    // is Slot order; zero-width rows all share key 0.
     struct Keyed
     {
         uint64_t key;
@@ -85,32 +112,48 @@ canonicalOrder(const ResultSet &rs)
     };
     std::vector<Keyed> a(n), b(n);
     for (uint32_t i = 0; i < n; ++i) {
-        uint64_t key = rows[i].empty()
-                           ? 0
-                           : static_cast<uint64_t>(rows[i][0]) ^
-                                 (uint64_t{1} << 63);
+        uint64_t key =
+            width == 0 ? 0
+                       : static_cast<uint64_t>(cells[i * width]) ^
+                             (uint64_t{1} << 63);
         a[i] = {key, i};
     }
-    for (int shift = 0; shift < 64; shift += 8) {
-        std::array<size_t, 257> count{};
-        for (const Keyed &k : a)
-            ++count[((k.key >> shift) & 0xFF) + 1];
-        if (std::ranges::find(count, n) != count.end())
-            continue; // every key shares this byte: the pass is a no-op
-        std::partial_sum(count.begin(), count.end(), count.begin());
-        for (const Keyed &k : a)
-            b[count[(k.key >> shift) & 0xFF]++] = k;
-        a.swap(b);
+    // Only the key bits that differ between rows need sorting: split
+    // them into as few digits of at most 11 bits as cover them.
+    uint64_t varies = 0;
+    for (const Keyed &k : a)
+        varies |= k.key ^ a[0].key;
+    if (varies != 0) {
+        const int lo = std::countr_zero(varies);
+        const int bits = 64 - std::countl_zero(varies) - lo;
+        const int passes = (bits + 10) / 11;
+        const int digit = (bits + passes - 1) / passes;
+        const uint64_t mask = (uint64_t{1} << digit) - 1;
+        std::vector<uint32_t> count(size_t{1} << digit);
+        for (int p = 0; p < passes; ++p) {
+            const int shift = lo + p * digit;
+            std::fill(count.begin(), count.end(), 0);
+            for (const Keyed &k : a)
+                ++count[(k.key >> shift) & mask];
+            uint32_t at = 0;
+            for (uint32_t &c : count)
+                at += std::exchange(c, at);
+            for (const Keyed &k : a)
+                b[count[(k.key >> shift) & mask]++] = k;
+            a.swap(b);
+        }
     }
     std::vector<uint32_t> order(n);
     for (size_t lo = 0; lo < n;) {
         size_t hi = lo + 1;
         while (hi < n && a[hi].key == a[lo].key)
             ++hi;
-        std::sort(a.begin() + lo, a.begin() + hi,
-                  [&rows](const Keyed &x, const Keyed &y) {
-                      return rows[x.row] < rows[y.row];
-                  });
+        if (hi - lo > 1)
+            std::sort(a.begin() + lo, a.begin() + hi,
+                      [&rows](const Keyed &x, const Keyed &y) {
+                          return std::ranges::lexicographical_compare(
+                              rows[x.row], rows[y.row]);
+                      });
         for (; lo < hi; ++lo)
             order[lo] = a[lo].row;
     }
@@ -124,10 +167,10 @@ ResultSet::equals(const ResultSet &other) const
 {
     if (rows.size() != other.rows.size())
         return false;
-    std::vector<uint32_t> mine = canonicalOrder(*this);
-    std::vector<uint32_t> theirs = canonicalOrder(other);
+    std::vector<uint32_t> mine = canonicalOrder(rows);
+    std::vector<uint32_t> theirs = canonicalOrder(other.rows);
     for (size_t k = 0; k < mine.size(); ++k)
-        if (rows[mine[k]] != other.rows[theirs[k]])
+        if (!std::ranges::equal(rows[mine[k]], other.rows[theirs[k]]))
             return false;
     return true;
 }
@@ -135,17 +178,17 @@ ResultSet::equals(const ResultSet &other) const
 uint64_t
 ResultSet::digest() const
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
-    for (uint32_t i : canonicalOrder(*this)) {
-        mix(0x9e3779b97f4a7c15ULL); // row separator
-        for (Slot s : rows[i])
-            mix(static_cast<uint64_t>(s));
+    constexpr uint64_t kNull = static_cast<uint64_t>(storage::kNullSlot);
+    const size_t width = rows.width();
+    const Slot *cells = rows.slots().data();
+    uint64_t h = kFnvOffset;
+    for (uint32_t i : canonicalOrder(rows)) {
+        h = fnvStepConst<kDigestRowSeparator>(h);
+        for (const Slot *c = cells + i * width, *e = c + width; c != e;
+             ++c)
+            h = *c == storage::kNullSlot
+                    ? fnvStepConst<kNull>(h)
+                    : fnvStep(h, static_cast<uint64_t>(*c));
     }
     return h;
 }

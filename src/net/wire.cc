@@ -1,5 +1,7 @@
 #include "net/wire.hh"
 
+#include <algorithm>
+
 namespace dvp::net
 {
 
@@ -60,19 +62,39 @@ crc32(const void *data, size_t n)
     return c ^ 0xFFFFFFFFu;
 }
 
+namespace
+{
+
+/**
+ * Fill in the header of @p frame, whose first kHeaderBytes are
+ * reserved for it and whose remaining bytes are the payload.
+ */
+void
+sealFrame(std::string &frame, FrameType type)
+{
+    const char *payload = frame.data() + kHeaderBytes;
+    uint32_t length = static_cast<uint32_t>(frame.size() - kHeaderBytes);
+    Writer h;
+    h.u16(kMagic);
+    h.u8(kWireVersion);
+    h.u8(static_cast<uint8_t>(type));
+    h.u32(length);
+    h.u32(crc32(payload, length));
+    h.u32(0); // reserved
+    frame.replace(0, kHeaderBytes, h.bytes());
+}
+
+} // namespace
+
 std::string
 encodeFrame(FrameType type, const std::string &payload)
 {
-    Writer w;
-    w.reserve(kHeaderBytes + payload.size());
-    w.u16(kMagic);
-    w.u8(kWireVersion);
-    w.u8(static_cast<uint8_t>(type));
-    w.u32(static_cast<uint32_t>(payload.size()));
-    w.u32(crc32(payload.data(), payload.size()));
-    w.u32(0); // reserved
-    w.append(payload);
-    return w.take();
+    std::string frame;
+    frame.reserve(kHeaderBytes + payload.size());
+    frame.append(kHeaderBytes, '\0');
+    frame.append(payload);
+    sealFrame(frame, type);
+    return frame;
 }
 
 void
@@ -269,6 +291,9 @@ decodeError(const std::string &payload, ErrorBody &out)
 ResultWriter::ResultWriter(const ResultBody &head, uint32_t nrows)
     : head(head)
 {
+    static_assert(kHeaderBytes == 16);
+    w.u64(0); // the header, filled in by finish()
+    w.u64(0);
     w.u8(static_cast<uint8_t>(head.kind));
     w.str(head.message);
     w.u32(static_cast<uint32_t>(head.columns.size()));
@@ -302,87 +327,116 @@ ResultWriter::finish(uint64_t digest, uint32_t level)
             putTlv(w, kExtOpStats, v.bytes());
         }
     }
-    return w.take();
+    std::string frame = w.take();
+    sealFrame(frame, FrameType::Result);
+    return frame;
 }
 
-std::string
-encodeResult(const ResultBody &b, uint32_t level)
+namespace
 {
-    ResultWriter w(b, static_cast<uint32_t>(b.rows.size()));
-    for (const auto &row : b.rows) {
-        w.row(static_cast<uint32_t>(row.size()));
-        for (const Cell &c : row) {
-            if (c.kind == Cell::Kind::Int)
-                w.integer(c.i);
-            else if (c.kind == Cell::Kind::Str)
-                w.text(c.s);
-            else
-                w.null();
-        }
-    }
-    return w.finish(b.digest, level);
-}
 
+/**
+ * Index the @p nrows rows at @p r's position into @p cells and
+ * @p rowStart (see DecodedRows), checking
+ * every cell's bytes against the payload end.  Each cell takes at
+ * least one byte, so the index never outgrows the payload's length in
+ * u32 entries.
+ */
 bool
-decodeResult(const std::string &payload, ResultBody &out)
+indexRows(const std::string &payload, Reader &r, uint32_t nrows,
+          std::vector<uint32_t> &cells, std::vector<uint32_t> &rowStart)
 {
+    const char *base = payload.data();
+    const char *end = base + payload.size();
+    cells.clear();
+    rowStart.clear();
+    rowStart.reserve(size_t{nrows} + 1);
+    for (uint32_t i = 0; i < nrows; ++i) {
+        uint32_t ncells = r.u32();
+        if (!r.ok() || ncells > r.remaining())
+            return false;
+        if (i == 0)
+            cells.reserve(std::min(size_t{ncells} * nrows, r.remaining()));
+        rowStart.push_back(static_cast<uint32_t>(cells.size()));
+        const char *p = base + r.offset();
+        for (uint32_t j = 0; j < ncells; ++j) {
+            if (p == end)
+                return false;
+            cells.push_back(static_cast<uint32_t>(p - base));
+            switch (static_cast<CellKind>(*p)) {
+              case CellKind::Null:
+                p += 1;
+                break;
+              case CellKind::Int:
+                if (end - p < 9)
+                    return false;
+                p += 9;
+                break;
+              case CellKind::Str: {
+                if (end - p < 5)
+                    return false;
+                uint32_t len;
+                std::memcpy(&len, p + 1, 4);
+                if (static_cast<size_t>(end - p - 5) < len)
+                    return false;
+                p += 5 + size_t{len};
+                break;
+              }
+              default:
+                return false;
+            }
+        }
+        r.skip(static_cast<size_t>(p - base) - r.offset());
+    }
+    rowStart.push_back(static_cast<uint32_t>(cells.size()));
+    return true;
+}
+
+/** Everything decodeResult() does but take the payload over. */
+bool
+decodeResultInto(const std::string &payload, ResultBody &out,
+                 std::vector<uint32_t> &cells,
+                 std::vector<uint32_t> &rowStart)
+{
+    if (payload.size() > kMaxPayload)
+        return false;
     Reader r(payload);
     out.kind = static_cast<ResultBody::Kind>(r.u8());
     out.message = r.str();
     uint32_t ncols = r.u32();
-    // Collection counts are validated against the bytes remaining so a
-    // corrupt count cannot trigger a huge allocation before the reader
-    // notices the overrun.
-    if (!r.ok() || ncols > payload.size())
+    // Collection counts are validated against the bytes remaining (a
+    // column takes at least 4, an oid 8, a row 4, an operator stat 12)
+    // so a corrupt count cannot trigger a huge allocation before the
+    // reader notices the overrun.
+    if (!r.ok() || ncols > r.remaining() / 4)
         return false;
     out.columns.clear();
     out.columns.reserve(ncols);
     for (uint32_t i = 0; i < ncols && r.ok(); ++i)
         out.columns.push_back(r.str());
     uint32_t noids = r.u32();
-    if (!r.ok() || noids > payload.size())
+    if (!r.ok() || noids > r.remaining() / 8)
         return false;
-    out.oids.clear();
-    out.oids.reserve(noids);
-    for (uint32_t i = 0; i < noids && r.ok(); ++i)
-        out.oids.push_back(r.i64());
+    out.oids.resize(noids);
+    for (uint32_t i = 0; i < noids; ++i)
+        out.oids[i] = r.i64();
     uint32_t nrows = r.u32();
-    if (!r.ok() || nrows > payload.size())
+    if (!r.ok() || nrows > r.remaining() / 4 ||
+        !indexRows(payload, r, nrows, cells, rowStart))
         return false;
-    out.rows.clear();
-    out.rows.reserve(nrows);
-    for (uint32_t i = 0; i < nrows && r.ok(); ++i) {
-        uint32_t ncells = r.u32();
-        if (!r.ok() || ncells > payload.size())
-            return false;
-        std::vector<Cell> row;
-        row.reserve(ncells);
-        for (uint32_t j = 0; j < ncells && r.ok(); ++j) {
-            Cell c;
-            c.kind = static_cast<Cell::Kind>(r.u8());
-            if (c.kind == Cell::Kind::Int)
-                c.i = r.i64();
-            else if (c.kind == Cell::Kind::Str)
-                c.s = r.str();
-            else if (c.kind != Cell::Kind::Null)
-                return false;
-            row.push_back(std::move(c));
-        }
-        out.rows.push_back(std::move(row));
-    }
     out.digest = r.u64();
     out.checksum = r.u64();
     out.execNs = r.u64();
     out.hasTraceId = false;
     out.traceId = 0;
     out.opStats.clear();
-    return readTlvs(r, [&out, &payload](uint8_t tag, Reader &v) {
+    return readTlvs(r, [&out](uint8_t tag, Reader &v) {
         if (tag == kExtTraceId) {
             out.traceId = v.u64();
             out.hasTraceId = v.ok();
         } else if (tag == kExtOpStats) {
             uint32_t n = v.u32();
-            if (!v.ok() || n > payload.size())
+            if (!v.ok() || n > v.remaining() / 12)
                 return;
             out.opStats.reserve(n);
             for (uint32_t i = 0; i < n && v.ok(); ++i) {
@@ -393,6 +447,19 @@ decodeResult(const std::string &payload, ResultBody &out)
             }
         }
     });
+}
+
+} // namespace
+
+bool
+decodeResult(std::string payload, ResultBody &out, DecodedRows &rows)
+{
+    if (!decodeResultInto(payload, out, rows.cells, rows.rowStart)) {
+        rows = DecodedRows{};
+        return false;
+    }
+    rows.payload = std::move(payload);
+    return true;
 }
 
 std::string
@@ -453,6 +520,7 @@ errorCodeName(ErrorCode c)
       case ErrorCode::Unsupported: return "UNSUPPORTED";
       case ErrorCode::ReadOnly: return "READ_ONLY";
       case ErrorCode::ResultTooLarge: return "RESULT_TOO_LARGE";
+      case ErrorCode::ConnectionLost: return "CONNECTION_LOST";
     }
     return "?";
 }

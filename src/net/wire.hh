@@ -101,6 +101,12 @@ enum class ErrorCode : uint16_t
     Unsupported = 6,  ///< statement kind the server refuses (e.g. LOAD)
     ReadOnly = 7,     ///< writes (INSERT) disabled on this server
     ResultTooLarge = 8, ///< RESULT payload would pass kMaxPayload
+
+    /**
+     * Client-side only, never sent on the wire: the connection was
+     * down, or failed or closed before a whole response arrived.
+     */
+    ConnectionLost = 0x100,
 };
 
 /**
@@ -228,6 +234,19 @@ class Reader
     /** Unconsumed bytes (0 after an overrun) — TLV loop guard. */
     size_t remaining() const { return ok_ ? n - pos : 0; }
 
+    /** Bytes consumed so far. */
+    size_t offset() const { return pos; }
+
+    /** Consume @p bytes unread (an overrun latches !ok()). */
+    void
+    skip(size_t bytes)
+    {
+        if (bytes > n - pos)
+            ok_ = false;
+        else
+            pos += bytes;
+    }
+
   private:
     void
     take(void *out, size_t bytes)
@@ -323,21 +342,22 @@ struct ErrorBody
     std::string message;
 };
 
-/** One result cell, decoded server-side (clients hold no dictionary). */
-struct Cell
+/** Kind byte of one RESULT cell. */
+enum class CellKind : uint8_t
 {
-    enum class Kind : uint8_t { Null = 0, Int = 1, Str = 2 };
-    Kind kind = Kind::Null;
-    int64_t i = 0;
-    std::string s;
+    Null = 0,
+    Int = 1, ///< followed by an i64
+    Str = 2, ///< followed by a u32 length and the bytes
 };
 
 /**
  * RESULT: either a row set (kind Rows) or a plain message (kind
- * Message — EXPLAIN text, LOAD summaries).  digest/checksum mirror
- * engine::ResultSet so clients can compare executions byte-for-byte
- * with an in-process run without re-deriving anything from decoded
- * text.  execNs is the server-side statement wall time.
+ * Message — EXPLAIN text, LOAD summaries).  The rows themselves are
+ * written by a ResultWriter and read back as DecodedRows; the body
+ * carries everything else.  digest/checksum mirror engine::ResultSet
+ * so clients can compare executions byte-for-byte with an in-process
+ * run without re-deriving anything from decoded text.  execNs is the
+ * server-side statement wall time.
  */
 struct ResultBody
 {
@@ -346,7 +366,6 @@ struct ResultBody
     std::string message;
     std::vector<std::string> columns;
     std::vector<int64_t> oids;
-    std::vector<std::vector<Cell>> rows;
     uint64_t digest = 0;
     uint64_t checksum = 0;
     uint64_t execNs = 0;
@@ -355,6 +374,108 @@ struct ResultBody
     bool hasTraceId = false;
     uint64_t traceId = 0;
     std::vector<std::pair<std::string, uint64_t>> opStats;
+};
+
+/** One decoded cell: a view into the RESULT payload's bytes. */
+class CellView
+{
+  public:
+    explicit CellView(const char *p) : p(p) {}
+
+    CellKind kind() const { return static_cast<CellKind>(*p); }
+    bool isNull() const { return kind() == CellKind::Null; }
+
+    /** Value of an Int cell. */
+    int64_t
+    integer() const
+    {
+        int64_t v;
+        std::memcpy(&v, p + 1, 8);
+        return v;
+    }
+
+    /** Bytes of a Str cell. */
+    std::string_view
+    text() const
+    {
+        uint32_t len;
+        std::memcpy(&len, p + 1, 4);
+        return {p + 5, len};
+    }
+
+  private:
+    const char *p; ///< the cell's kind byte
+};
+
+/** One decoded row: size() cells, each a CellView. */
+class RowView
+{
+  public:
+    RowView(const char *payload, const uint32_t *cells, size_t n)
+        : payload(payload), cells(cells), n(n)
+    {
+    }
+
+    size_t size() const { return n; }
+
+    CellView
+    operator[](size_t c) const
+    {
+        return CellView(payload + cells[c]);
+    }
+
+  private:
+    const char *payload;
+    const uint32_t *cells; ///< payload offsets of this row's cells
+    size_t n;
+};
+
+/**
+ * The rows of a decoded RESULT: the payload as received, plus one
+ * flat index holding the payload offset of every cell and the first
+ * cell of every row.  Decoding builds no object per cell or per row;
+ * cells read in place as kind / integer / string_view.
+ */
+class DecodedRows
+{
+  public:
+    size_t
+    size() const
+    {
+        return rowStart.empty() ? 0 : rowStart.size() - 1;
+    }
+    bool empty() const { return size() == 0; }
+
+    RowView
+    operator[](size_t r) const
+    {
+        return RowView(payload.data(), cells.data() + rowStart[r],
+                       rowStart[r + 1] - rowStart[r]);
+    }
+
+    /** Forward iterator over the rows. */
+    class iterator
+    {
+      public:
+        iterator(const DecodedRows *rows, size_t r) : rows(rows), r(r) {}
+        RowView operator*() const { return (*rows)[r]; }
+        iterator &operator++() { ++r; return *this; }
+        bool operator==(const iterator &o) const { return r == o.r; }
+
+      private:
+        const DecodedRows *rows;
+        size_t r;
+    };
+    iterator begin() const { return {this, 0}; }
+    iterator end() const { return {this, size()}; }
+
+  private:
+    friend bool decodeResult(std::string payload, ResultBody &out,
+                             DecodedRows &rows);
+
+    std::string payload;
+    std::vector<uint32_t> cells;    ///< payload offset of each cell
+    std::vector<uint32_t> rowStart; ///< first cell of each row, + end
 };
 
 /** STATS_RESULT: ordered key -> value counters. */
@@ -384,14 +505,15 @@ std::string encodeError(const ErrorBody &b);
 bool decodeError(const std::string &payload, ErrorBody &out);
 
 /**
- * The one writer of RESULT payload bytes.  The constructor writes the
- * head (kind, message, columns, oids, then the row count); each row is
- * then row(ncells) followed by exactly ncells cell calls; finish()
- * appends the trailer (digest, checksum, execNs, and at kFeatureTrace
- * the TLVs) and returns the payload.  encodeResult() feeds it decoded
- * cells; the server feeds it result slots directly, so neither side
- * builds a per-cell object on the way out.  @p head must outlive the
- * writer; its digest is not read (finish() takes it).
+ * The one writer of RESULT frames.  The constructor reserves the frame
+ * header and writes the payload head (kind, message, columns, oids,
+ * then the row count); each row is then row(ncells) followed by
+ * exactly ncells cell calls; finish() appends the trailer (digest,
+ * checksum, execNs, and at kFeatureTrace the TLVs), fills in the
+ * header and returns the whole frame, so the payload is never copied
+ * into a second buffer.  The server feeds it result slots directly,
+ * so no per-cell object is built on the way out.  @p head must
+ * outlive the writer; its digest is not read (finish() takes it).
  */
 class ResultWriter
 {
@@ -399,25 +521,29 @@ class ResultWriter
     ResultWriter(const ResultBody &head, uint32_t nrows);
 
     void row(uint32_t ncells) { w.u32(ncells); }
-    void null() { w.u8(static_cast<uint8_t>(Cell::Kind::Null)); }
+    void null() { w.u8(static_cast<uint8_t>(CellKind::Null)); }
 
     void
     integer(int64_t v)
     {
-        w.u8(static_cast<uint8_t>(Cell::Kind::Int));
+        w.u8(static_cast<uint8_t>(CellKind::Int));
         w.i64(v);
     }
 
     void
     text(std::string_view s)
     {
-        w.u8(static_cast<uint8_t>(Cell::Kind::Str));
+        w.u8(static_cast<uint8_t>(CellKind::Str));
         w.str(s);
     }
 
-    /** Payload bytes written so far. */
-    size_t size() const { return w.size(); }
+    /** Make room for @p bytes more payload. */
+    void reserve(size_t bytes) { w.reserve(w.size() + bytes); }
 
+    /** Payload bytes written so far (the header not counted). */
+    size_t size() const { return w.size() - kHeaderBytes; }
+
+    /** The complete RESULT frame. */
     std::string finish(uint64_t digest, uint32_t level);
 
   private:
@@ -425,9 +551,17 @@ class ResultWriter
     Writer w;
 };
 
-std::string encodeResult(const ResultBody &b,
-                         uint32_t level = kFeatureBase);
-bool decodeResult(const std::string &payload, ResultBody &out);
+/**
+ * Decode a RESULT payload in one bounds-checked pass.  @p rows takes
+ * over @p payload and indexes its cells.  Every count is checked
+ * against the bytes left before it sizes anything, so no allocation
+ * passes 8 bytes per payload byte (a u32 of index per cell of at
+ * least one byte, a string per column of at least four), whatever
+ * the payload says.  Returns false (and leaves @p rows empty) on
+ * short, trailing or malformed bytes.
+ */
+bool decodeResult(std::string payload, ResultBody &out,
+                  DecodedRows &rows);
 
 std::string encodeStats(const StatsBody &b);
 bool decodeStats(const std::string &payload, StatsBody &out);

@@ -122,10 +122,12 @@ encodeRowResult(const net::ResultBody &meta, const engine::ResultSet &rs,
     if (rs.rows.size() > maxBytes / 4)
         return false;
     net::ResultWriter w(meta, static_cast<uint32_t>(rs.rows.size()));
+    // Every row takes at least its cell count and a byte per cell.
+    w.reserve(std::min(rs.rows.size() * (4 + rs.rows.width()), maxBytes));
     {
         // A concurrent INSERT or LOAD grows the dictionary.
         auto lock = data.readLock();
-        for (const auto &row : rs.rows) {
+        for (engine::ResultRows::Row row : rs.rows) {
             w.row(static_cast<uint32_t>(row.size()));
             for (storage::Slot s : row) {
                 if (storage::isNull(s))
@@ -140,7 +142,7 @@ encodeRowResult(const net::ResultBody &meta, const engine::ResultSet &rs,
         }
     }
     out = w.finish(rs.digest(), level);
-    return out.size() <= maxBytes;
+    return out.size() - net::kHeaderBytes <= maxBytes;
 }
 
 Server::Server(adaptive::AdaptiveEngine &engine, Config cfg)
@@ -730,8 +732,11 @@ Server::executeTask(Task &task)
     // Encode stage: digest + row encode + frame build, for errors too,
     // so every answered statement observes each stage exactly once.
     uint64_t t_encode = nowNs();
-    net::FrameType type = net::FrameType::Result;
-    std::string payload;
+    std::string frame;
+    auto error = [&frame](net::ErrorCode code, const std::string &msg) {
+        frame = net::encodeFrame(net::FrameType::Error,
+                                 net::encodeError({code, msg}));
+    };
     if (!r.ok) {
         net::ErrorCode code = net::ErrorCode::Exec;
         if (r.errorKind == sql::RunResult::Error::Parse)
@@ -740,8 +745,7 @@ Server::executeTask(Task &task)
             code = net::ErrorCode::Unsupported;
         else if (r.errorKind == sql::RunResult::Error::ReadOnly)
             code = net::ErrorCode::ReadOnly;
-        type = net::FrameType::Error;
-        payload = net::encodeError({code, r.error});
+        error(code, r.error);
     } else {
         net::ResultBody body;
         body.execNs = static_cast<uint64_t>(r.seconds * 1e9);
@@ -755,7 +759,8 @@ Server::executeTask(Task &task)
         if (r.kind == sql::RunResult::Kind::Message) {
             body.kind = net::ResultBody::Kind::Message;
             body.message = r.message;
-            payload = encodeResult(body, task.session->featureLevel);
+            frame = net::ResultWriter(body, 0).finish(
+                0, task.session->featureLevel);
         } else {
             const engine::DataSet &data = engine->snapshot()->data();
             {
@@ -764,22 +769,18 @@ Server::executeTask(Task &task)
                 auto lock = data.readLock();
                 body.columns = sql::resultColumns(data, r.query);
             }
-            body.oids = r.rows.oids;
+            body.oids = std::move(r.rows.oids);
             body.checksum = r.rows.checksum;
             if (!encodeRowResult(body, r.rows, data,
                                  task.session->featureLevel,
-                                 net::kMaxPayload, payload)) {
-                type = net::FrameType::Error;
-                payload = net::encodeError(
-                    {net::ErrorCode::ResultTooLarge,
-                     "result exceeds the " +
-                         std::to_string(net::kMaxPayload) +
-                         "-byte frame payload limit (" +
-                         std::to_string(r.rows.rowCount()) + " rows)"});
-            }
+                                 net::kMaxPayload, frame))
+                error(net::ErrorCode::ResultTooLarge,
+                      "result exceeds the " +
+                          std::to_string(net::kMaxPayload) +
+                          "-byte frame payload limit (" +
+                          std::to_string(r.rows.rowCount()) + " rows)");
         }
     }
-    std::string frame = net::encodeFrame(type, payload);
     uint64_t t_send = nowNs();
     DVP_HISTOGRAM_OBSERVE("dvp_request_stage_ns{stage=\"encode\"}",
                           t_send - t_encode);

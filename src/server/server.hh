@@ -104,12 +104,11 @@ struct Config
 };
 
 /**
- * The RESULT payload of a row result, with every row written straight
- * from @p rs's slots into a net::ResultWriter: string ids resolve
+ * The RESULT frame of a row result, with every row written straight
+ * from @p rs's flat slots into a net::ResultWriter: string ids resolve
  * through @p data's dictionary under its read lock, and no per-cell
  * object is built.  @p meta supplies every field but the rows and the
- * digest, which is rs.digest(), taken only once the rows fit.  The
- * bytes equal encodeResult() of the same rows as decoded cells.
+ * digest, which is rs.digest(), taken only once the rows fit.
  *
  * Returns false as soon as the payload passes @p maxBytes (the
  * server passes net::kMaxPayload; @p out is then unspecified), so an

@@ -408,9 +408,12 @@ TEST(AnalyzeWire, ResultExtrasRoundTripAndDegrade)
     r.opStats = {{"rows_scanned", 800}, {"rows_out", 12}};
 
     // Level 2: extras survive the round trip.
-    std::string enc2 = net::encodeResult(r, net::kFeatureTrace);
+    std::string enc2 = net::ResultWriter(r, 0)
+                           .finish(0, net::kFeatureTrace)
+                           .substr(net::kHeaderBytes);
     net::ResultBody out2;
-    ASSERT_TRUE(net::decodeResult(enc2, out2));
+    net::DecodedRows rows;
+    ASSERT_TRUE(net::decodeResult(enc2, out2, rows));
     EXPECT_TRUE(out2.hasTraceId);
     EXPECT_EQ(out2.traceId, 7u);
     ASSERT_EQ(out2.opStats.size(), 2u);
@@ -419,10 +422,12 @@ TEST(AnalyzeWire, ResultExtrasRoundTripAndDegrade)
     EXPECT_EQ(out2.execNs, 12345u);
 
     // Level 1: extras dropped, frame still decodes cleanly.
-    std::string enc1 = net::encodeResult(r, net::kFeatureBase);
+    std::string enc1 = net::ResultWriter(r, 0)
+                           .finish(0, net::kFeatureBase)
+                           .substr(net::kHeaderBytes);
     EXPECT_LT(enc1.size(), enc2.size());
     net::ResultBody out1;
-    ASSERT_TRUE(net::decodeResult(enc1, out1));
+    ASSERT_TRUE(net::decodeResult(enc1, out1, rows));
     EXPECT_FALSE(out1.hasTraceId);
     EXPECT_TRUE(out1.opStats.empty());
     EXPECT_EQ(out1.execNs, 12345u);

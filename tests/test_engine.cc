@@ -34,6 +34,33 @@ using storage::AttrId;
 using storage::kNullSlot;
 using storage::Slot;
 
+/** One result row as a vector (gtest prints and compares vectors). */
+std::vector<Slot>
+vec(ResultRows::Row row)
+{
+    return {row.begin(), row.end()};
+}
+
+/** The rows as a vector of vectors: the pre-flat representation. */
+std::vector<std::vector<Slot>>
+toVectors(const ResultRows &rows)
+{
+    std::vector<std::vector<Slot>> out;
+    for (ResultRows::Row row : rows)
+        out.push_back(vec(row));
+    return out;
+}
+
+/** Flat rows from a vector of equal-width vectors. */
+ResultRows
+fromVectors(const std::vector<std::vector<Slot>> &rows)
+{
+    ResultRows out;
+    for (const auto &row : rows)
+        out.append(row);
+    return out;
+}
+
 /** Tiny hand-built data set with known contents. */
 class TinyDb : public ::testing::Test
 {
@@ -135,8 +162,8 @@ TEST_F(TinyDb, SelectBetweenNumeric)
     ResultSet rs = exec.run(q);
     ASSERT_EQ(rs.rowCount(), 2u);
     EXPECT_EQ(rs.oids, (std::vector<int64_t>{1, 3}));
-    EXPECT_EQ(rs.rows[0], (std::vector<Slot>{2, 20}));
-    EXPECT_EQ(rs.rows[1], (std::vector<Slot>{4, 40}));
+    EXPECT_EQ(vec(rs.rows[0]), (std::vector<Slot>{2, 20}));
+    EXPECT_EQ(vec(rs.rows[1]), (std::vector<Slot>{4, 40}));
 }
 
 TEST_F(TinyDb, BetweenSkipsStringSlots)
@@ -204,8 +231,8 @@ TEST_F(TinyDb, AggregateRowsAscendByKey)
             Executor exec(db, threads);
             exec.setMorselRows(1);
             ResultSet rs = exec.run(q);
-            std::vector<std::vector<Slot>> want = {
-                {kNullSlot, 1}, {10, 1}, {20, 1}, {40, 1}, {50, 1}};
+            ResultRows want = fromVectors(
+                {{kNullSlot, 1}, {10, 1}, {20, 1}, {40, 1}, {50, 1}});
             EXPECT_EQ(rs.rows, want); // doc 2 has no c: the NULL group
         }
     }
@@ -233,7 +260,7 @@ TEST_F(TinyDb, JoinMatchesPairs)
     q.cond.hi = 100;
     ResultSet rs = exec.run(q);
     ASSERT_EQ(rs.rowCount(), 1u);
-    EXPECT_EQ(rs.rows[0], (std::vector<Slot>{1, 5})); // s1 of 1 == b of 5
+    EXPECT_EQ(vec(rs.rows[0]), (std::vector<Slot>{1, 5})); // s1 of 1 == b of 5
 }
 
 TEST_F(TinyDb, InsertAppendsToAllTables)
@@ -279,11 +306,11 @@ TEST_F(TinyDb, UnknownConditionColumnYieldsEmpty)
 TEST(ResultSet, EqualsIsOrderInsensitive)
 {
     ResultSet a, b;
-    a.rows = {{1, 2}, {3, 4}};
-    b.rows = {{3, 4}, {1, 2}};
+    a.rows = fromVectors({{1, 2}, {3, 4}});
+    b.rows = fromVectors({{3, 4}, {1, 2}});
     EXPECT_TRUE(a.equals(b));
     EXPECT_EQ(a.digest(), b.digest());
-    b.rows.push_back({5, 6});
+    b.rows.append({5, 6});
     EXPECT_FALSE(a.equals(b));
     EXPECT_NE(a.digest(), b.digest());
 }
@@ -291,8 +318,8 @@ TEST(ResultSet, EqualsIsOrderInsensitive)
 TEST(ResultSet, DigestDistinguishesCellChanges)
 {
     ResultSet a, b;
-    a.rows = {{1, 2}};
-    b.rows = {{1, 3}};
+    a.rows = fromVectors({{1, 2}});
+    b.rows = fromVectors({{1, 3}});
     EXPECT_NE(a.digest(), b.digest());
 }
 
@@ -300,7 +327,7 @@ TEST(ResultSet, DigestDistinguishesCellChanges)
 std::vector<std::vector<Slot>>
 canonicalCopy(const ResultSet &rs)
 {
-    std::vector<std::vector<Slot>> rows = rs.rows;
+    std::vector<std::vector<Slot>> rows = toVectors(rs.rows);
     std::sort(rows.begin(), rows.end());
     return rows;
 }
@@ -336,13 +363,12 @@ randomResult(std::mt19937_64 &rng, size_t n, size_t width)
                          int64_t{1} << 40, storage::encodeString(0),
                          storage::encodeString(3),
                          std::numeric_limits<Slot>::max()};
-    ResultSet rs;
-    rs.rows.resize(n);
-    for (auto &row : rs.rows) {
-        row.resize(width);
+    std::vector<std::vector<Slot>> rows(n, std::vector<Slot>(width));
+    for (auto &row : rows)
         for (Slot &s : row)
             s = pool[rng() % std::size(pool)];
-    }
+    ResultSet rs;
+    rs.rows = fromVectors(rows);
     return rs;
 }
 
@@ -356,24 +382,29 @@ TEST(ResultSet, DigestAndEqualsMatchTheSortedCopyOracle)
         cases.push_back(randomResult(rng, 1 + rng() % 300,
                                      1 + rng() % 4));
     // select-* width: mostly-null catalog-wide rows.
-    ResultSet wide = randomResult(rng, 50, 1019);
-    for (auto &row : wide.rows)
+    std::vector<std::vector<Slot>> wide =
+        toVectors(randomResult(rng, 50, 1019).rows);
+    for (auto &row : wide)
         for (size_t c = 0; c < row.size(); ++c)
             if (c % 17 != 0)
                 row[c] = kNullSlot;
-    cases.push_back(wide);
-    // Ragged rows, including an empty row next to a null-led one.
-    ResultSet ragged;
-    ragged.rows = {{kNullSlot, 1}, {}, {3}, {3, kNullSlot}, {}, {-2}};
-    cases.push_back(ragged);
+    cases.emplace_back().rows = fromVectors(wide);
+    // Equal-width rows that tie on a NULL or repeated first cell (the
+    // engine never emits ragged rows), and zero-width rows.
+    cases.emplace_back().rows =
+        fromVectors({{kNullSlot, 1}, {3, 0}, {3, kNullSlot},
+                     {kNullSlot, kNullSlot}, {-2, 5}, {3, 0}});
+    cases.emplace_back().rows = fromVectors({{}, {}, {}});
 
     for (size_t i = 0; i < cases.size(); ++i) {
         const ResultSet &rs = cases[i];
         EXPECT_EQ(rs.digest(), referenceDigest(rs)) << "case " << i;
 
         // Same rows in another order: equal, same digest.
-        ResultSet shuffled = rs;
-        std::shuffle(shuffled.rows.begin(), shuffled.rows.end(), rng);
+        std::vector<std::vector<Slot>> order = toVectors(rs.rows);
+        std::shuffle(order.begin(), order.end(), rng);
+        ResultSet shuffled;
+        shuffled.rows = fromVectors(order);
         EXPECT_TRUE(rs.equals(shuffled)) << "case " << i;
         EXPECT_EQ(shuffled.digest(), rs.digest()) << "case " << i;
 
@@ -384,14 +415,103 @@ TEST(ResultSet, DigestAndEqualsMatchTheSortedCopyOracle)
                 << "cases " << i << ", " << j;
 
         // One changed cell: unequal, and the digest follows the oracle.
-        if (rs.rows.empty())
+        if (rs.rows.empty() || rs.rows.width() == 0)
             continue;
-        ResultSet changed = shuffled;
-        changed.rows[0].push_back(42);
+        order[0][0] = order[0][0] == 42 ? 43 : 42;
+        ResultSet changed;
+        changed.rows = fromVectors(order);
         EXPECT_FALSE(rs.equals(changed)) << "case " << i;
         EXPECT_EQ(changed.digest(), referenceDigest(changed))
             << "case " << i;
     }
+}
+
+TEST(ResultSet, TableStepEqualsTheBytewiseStepForEveryLowByte)
+{
+    // digest() folds NULL cells and row separators in with one lookup
+    // and one multiply; it must equal the eight bytewise FNV-1a steps
+    // whatever h's high bits are.
+    std::mt19937_64 rng(7);
+    constexpr uint64_t kNull = static_cast<uint64_t>(kNullSlot);
+    for (uint64_t low = 0; low < 256; ++low) {
+        for (int k = 0; k < 16; ++k) {
+            uint64_t h = (k == 0 ? 0 : rng() & ~uint64_t{0xFF}) | low;
+            EXPECT_EQ(fnvStepConst<kNull>(h), fnvStep(h, kNull))
+                << "h " << h;
+            EXPECT_EQ(fnvStepConst<kDigestRowSeparator>(h),
+                      fnvStep(h, kDigestRowSeparator))
+                << "h " << h;
+        }
+    }
+    static_assert(fnvStepConst<kNull>(kFnvOffset) ==
+                  fnvStep(kFnvOffset, kNull));
+}
+
+TEST(ResultRows, RowViewsOverOneFlatBuffer)
+{
+    ResultRows rows;
+    EXPECT_TRUE(rows.empty());
+    EXPECT_EQ(rows.begin(), rows.end());
+    rows.reserve(4, 3);
+    Slot *r0 = rows.appendRow(3); // NULL-filled
+    r0[1] = 7;
+    rows.append({1, 2, 3});
+    rows.append(std::vector<Slot>{4, 5, 6});
+    Slot *dropped = rows.appendRow(3);
+    dropped[0] = 99;
+    rows.popRow();
+
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows.width(), 3u);
+    EXPECT_EQ(rows.slots().size(), 9u);
+    EXPECT_EQ(vec(rows[0]), (std::vector<Slot>{kNullSlot, 7, kNullSlot}));
+    EXPECT_EQ(vec(rows[2]), (std::vector<Slot>{4, 5, 6}));
+
+    // Random-access iteration, as perfbench's prefix check uses it.
+    auto it = rows.begin();
+    EXPECT_EQ(rows.end() - it, 3);
+    EXPECT_EQ(vec(it[1]), (std::vector<Slot>{1, 2, 3}));
+    EXPECT_EQ(vec(*(it + 2)), (std::vector<Slot>{4, 5, 6}));
+    EXPECT_LT(it, it + 1);
+    EXPECT_EQ(std::distance(rows.begin(), rows.end()), 3);
+    static_assert(std::random_access_iterator<ResultRows::iterator>);
+
+    ResultRows prefix;
+    prefix.assign(rows.begin(), rows.begin() + 2);
+    EXPECT_EQ(prefix.size(), 2u);
+    EXPECT_EQ(prefix.width(), 3u);
+    EXPECT_EQ(toVectors(prefix),
+              (std::vector<std::vector<Slot>>{{kNullSlot, 7, kNullSlot},
+                                              {1, 2, 3}}));
+    prefix.assign(rows.begin(), rows.begin());
+    EXPECT_TRUE(prefix.empty());
+
+    // Appending whole sets, as the morsel merge does: an empty set
+    // leaves the rows alone, a first set fixes the width.
+    ResultRows merged;
+    merged.append(ResultRows{});
+    merged.append(rows);
+    merged.append(ResultRows{});
+    merged.append(rows);
+    EXPECT_EQ(merged.size(), 6u);
+    EXPECT_EQ(merged.width(), 3u);
+    EXPECT_EQ(vec(merged[4]), (std::vector<Slot>{1, 2, 3}));
+    ResultRows twoZeroWide = fromVectors({{}});
+    twoZeroWide.append(fromVectors({{}}));
+    EXPECT_EQ(twoZeroWide.size(), 2u);
+
+    // Empty sets agree whatever width they were given; zero-width
+    // rows still count.
+    ResultRows none;
+    EXPECT_EQ(prefix, none);
+    EXPECT_EQ(none.begin() + 0, none.end());
+    ResultRows zero = fromVectors({{}, {}});
+    EXPECT_EQ(zero.size(), 2u);
+    EXPECT_EQ(zero.width(), 0u);
+    EXPECT_NE(zero, none);
+    ResultSet empty;
+    EXPECT_EQ(empty.digest(), kFnvOffset);
+    EXPECT_TRUE(empty.equals(ResultSet{}));
 }
 
 // ---------------------------------------------------------------------
@@ -428,6 +548,31 @@ world()
 {
     static NoBenchWorld w;
     return w;
+}
+
+TEST(ResultSet, PrefixDigestsMatchTheVectorOracle)
+{
+    // perfbench checks a read that ran beside INSERTs against an
+    // assign()-ed oid-order prefix of the reference rows.
+    NoBenchWorld &w = world();
+    for (const ResultSet &ref : w.reference) {
+        std::vector<std::vector<Slot>> all = toVectors(ref.rows);
+        for (size_t n : {size_t{0}, size_t{1}, ref.rows.size() / 3,
+                         ref.rows.size()}) {
+            if (n > ref.rows.size())
+                continue;
+            ResultSet prefix;
+            prefix.rows.assign(ref.rows.begin(),
+                               ref.rows.begin() +
+                                   static_cast<ptrdiff_t>(n));
+            ResultSet oracle;
+            oracle.rows = fromVectors(
+                {all.begin(), all.begin() + static_cast<ptrdiff_t>(n)});
+            ASSERT_EQ(prefix.rows.size(), n);
+            EXPECT_EQ(prefix.digest(), referenceDigest(oracle));
+            EXPECT_EQ(toVectors(prefix.rows), toVectors(oracle.rows));
+        }
+    }
 }
 
 class LayoutInvariance

@@ -111,7 +111,7 @@ class Reference
                                    [](Slot s) { return !isNull(s); });
             if (any) {
                 rs.oids.push_back(doc.oid);
-                rs.rows.push_back(std::move(row));
+                rs.rows.append(row);
             }
         }
         return rs;
@@ -125,7 +125,7 @@ class Reference
             if (!matches(doc, q.cond))
                 continue;
             rs.oids.push_back(doc.oid);
-            rs.rows.push_back(materialize(doc, q));
+            rs.rows.append(materialize(doc, q));
         }
         return rs;
     }
@@ -139,7 +139,7 @@ class Reference
                 ++counts[doc.slotOf(q.groupBy)];
         ResultSet rs;
         for (const auto &[key, count] : counts)
-            rs.rows.push_back({key, count});
+            rs.rows.append({key, count});
         return rs;
     }
 
@@ -155,7 +155,7 @@ class Reference
                 continue;
             for (const auto &right : data->docs)
                 if (right.slotOf(q.joinRightAttr) == key)
-                    rs.rows.push_back({left.oid, right.oid});
+                    rs.rows.append({left.oid, right.oid});
         }
         return rs;
     }

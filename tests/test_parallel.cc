@@ -246,7 +246,7 @@ foldByHand(const Query &q, const ResultSet &selected)
     ResultSet rs;
     rs.checksum = selected.checksum;
     for (const auto &[key, n] : counts)
-        rs.rows.push_back({key, n});
+        rs.rows.append({key, n});
     return rs;
 }
 
@@ -493,6 +493,90 @@ TEST(AdaptiveParallel, ConcurrentExecuteWithBackgroundRepartition)
 
     // Detections are recorded synchronously and never undone.
     EXPECT_GE(eng.adaptation().changesDetected, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Flat result rows: morsel partials merge at prefix-sum offsets.
+// ---------------------------------------------------------------------
+
+TEST(FlatRows, MorselMergeIsSlotIdenticalOnEveryLayout)
+{
+    // Every template, every partitioned layout plain and compressed,
+    // at 1/2/3/4/8 lanes with small morsels: the merged flat rows and
+    // oids equal the layout's serial run slot for slot, and the serial
+    // run equals the row layout's (rows come back in oid order).
+    ParallelWorld &w = world();
+    GroupFoldWorld &g = groupWorld();
+    for (bool compress : {false, true}) {
+        for (const auto &[name, db] : g.partitioned) {
+            Database copy(w.data, db->layout(), name, nullptr, compress);
+            for (size_t qi = 0; qi < w.queries.size(); ++qi) {
+                const Query &q = w.queries[qi];
+                SCOPED_TRACE(name + (compress ? " compressed " : " ") +
+                             q.name);
+                ResultSet serial = Executor(copy, 1).run(q);
+                EXPECT_TRUE(serial.equals(w.row_ref[qi]));
+                EXPECT_EQ(serial.oids, w.row_ref[qi].oids);
+                for (size_t threads : {2u, 3u, 4u, 8u}) {
+                    SCOPED_TRACE("threads=" + std::to_string(threads));
+                    Executor exec(copy, threads);
+                    exec.setMorselRows(64);
+                    expectSame(exec.run(q), serial);
+                }
+            }
+        }
+    }
+}
+
+TEST(FlatRows, ArgoRowsMatchTheRowLayout)
+{
+    ParallelWorld &w = world();
+    GroupFoldWorld &g = groupWorld();
+    for (argo::ArgoStore *store : {g.argo1.get(), g.argo3.get()}) {
+        argo::ArgoExecutor exec(*store);
+        for (size_t qi = 0; qi < w.queries.size(); ++qi) {
+            SCOPED_TRACE(w.queries[qi].name);
+            ResultSet got = exec.run(w.queries[qi]);
+            const ResultSet &ref = w.row_ref[qi];
+            EXPECT_EQ(got.oids, ref.oids);
+            EXPECT_TRUE(got.equals(ref));
+            EXPECT_EQ(got.digest(), ref.digest());
+            EXPECT_EQ(got.checksum, ref.checksum);
+            if (!ref.rows.empty()) {
+                EXPECT_EQ(got.rows.width(), ref.rows.width());
+            }
+        }
+    }
+}
+
+TEST(FlatRows, EmptyResultsAndTheJoinWidth)
+{
+    ParallelWorld &w = world();
+    for (size_t threads : {1u, 2u, 4u}) {
+        Executor exec(*w.dvp, threads);
+        exec.setMorselRows(64);
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+
+        // A predicate no document satisfies: no rows, no oids.
+        Query none = w.queries[5]; // Q6: num BETWEEN
+        none.cond.lo = -2;
+        none.cond.hi = -1;
+        ResultSet empty = exec.run(none);
+        EXPECT_TRUE(empty.rows.empty());
+        EXPECT_TRUE(empty.oids.empty());
+        EXPECT_EQ(empty.digest(), engine::kFnvOffset);
+
+        // The join's l.* + r.* result is one [left oid, right oid]
+        // row per matching pair.
+        for (const Query &q : w.queries) {
+            if (q.kind != engine::QueryKind::Join)
+                continue;
+            ResultSet rs = exec.run(q);
+            ASSERT_FALSE(rs.rows.empty());
+            EXPECT_EQ(rs.rows.width(), 2u);
+            EXPECT_EQ(rs.rows.slots().size(), 2 * rs.rows.size());
+        }
+    }
 }
 
 } // namespace

@@ -22,16 +22,21 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <mutex>
+#include <new>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
 
 #include "adaptive/adaptive_engine.hh"
 #include "client/client.hh"
@@ -47,6 +52,88 @@
 #include "server/server.hh"
 #include "sql/run.hh"
 #include "util/fault.hh"
+
+namespace
+{
+
+/** Largest single heap allocation while tracking (decoder tests). */
+thread_local bool g_track_alloc = false;
+thread_local size_t g_max_alloc = 0;
+
+void *
+trackedAlloc(size_t n) noexcept
+{
+    if (g_track_alloc && n > g_max_alloc)
+        g_max_alloc = n;
+    return std::malloc(n == 0 ? 1 : n);
+}
+
+} // namespace
+
+// Every non-aligned form is replaced, so each allocation and its
+// release go through malloc/free whichever form a library picks (the
+// sanitizers would flag a replaced new paired with their own delete).
+[[gnu::noinline]] void *
+operator new(size_t n)
+{
+    if (void *p = trackedAlloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new[](size_t n)
+{
+    return ::operator new(n);
+}
+
+[[gnu::noinline]] void *
+operator new(size_t n, const std::nothrow_t &) noexcept
+{
+    return trackedAlloc(n);
+}
+
+[[gnu::noinline]] void *
+operator new[](size_t n, const std::nothrow_t &) noexcept
+{
+    return trackedAlloc(n);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 namespace dvp
 {
@@ -101,6 +188,14 @@ TEST(Wire, CrcMatchesBytewiseReference)
               bytewiseCrc32(buf.data(), 1u << 20));
 }
 
+/** The RESULT payload of a body without rows. */
+std::string
+payloadOf(const net::ResultBody &b, uint32_t level)
+{
+    return net::ResultWriter(b, 0).finish(b.digest, level).substr(
+        net::kHeaderBytes);
+}
+
 TEST(Wire, TypedBodiesRoundTrip)
 {
     net::HelloBody hello;
@@ -135,25 +230,32 @@ TEST(Wire, TypedBodiesRoundTrip)
     net::ResultBody r;
     r.columns = {"oid", "num", "str1"};
     r.oids = {7, 9};
-    r.rows = {{net::Cell{net::Cell::Kind::Int, 123, ""},
-               net::Cell{net::Cell::Kind::Str, 0, "hello"}},
-              {net::Cell{net::Cell::Kind::Null, 0, ""},
-               net::Cell{net::Cell::Kind::Int, -5, ""}}};
-    r.digest = 0xDEADBEEFCAFEF00DULL;
     r.checksum = 0x1234;
     r.execNs = 98765;
+    net::ResultWriter w(r, 2);
+    w.row(2);
+    w.integer(123);
+    w.text("hello");
+    w.row(2);
+    w.null();
+    w.integer(-5);
+    std::string frame = w.finish(0xDEADBEEFCAFEF00DULL, net::kFeatureBase);
     net::ResultBody r2;
-    ASSERT_TRUE(decodeResult(encodeResult(r), r2));
+    net::DecodedRows rows;
+    ASSERT_TRUE(
+        decodeResult(frame.substr(net::kHeaderBytes), r2, rows));
     EXPECT_EQ(r2.kind, net::ResultBody::Kind::Rows);
     EXPECT_EQ(r2.columns, r.columns);
     EXPECT_EQ(r2.oids, r.oids);
-    ASSERT_EQ(r2.rows.size(), 2u);
-    EXPECT_EQ(r2.rows[0][0].kind, net::Cell::Kind::Int);
-    EXPECT_EQ(r2.rows[0][0].i, 123);
-    EXPECT_EQ(r2.rows[0][1].s, "hello");
-    EXPECT_EQ(r2.rows[1][0].kind, net::Cell::Kind::Null);
-    EXPECT_EQ(r2.rows[1][1].i, -5);
-    EXPECT_EQ(r2.digest, r.digest);
+    ASSERT_EQ(rows.size(), 2u);
+    ASSERT_EQ(rows[0].size(), 2u);
+    EXPECT_EQ(rows[0][0].kind(), net::CellKind::Int);
+    EXPECT_EQ(rows[0][0].integer(), 123);
+    EXPECT_EQ(rows[0][1].kind(), net::CellKind::Str);
+    EXPECT_EQ(rows[0][1].text(), "hello");
+    EXPECT_TRUE(rows[1][0].isNull());
+    EXPECT_EQ(rows[1][1].integer(), -5);
+    EXPECT_EQ(r2.digest, 0xDEADBEEFCAFEF00DULL);
     EXPECT_EQ(r2.checksum, r.checksum);
     EXPECT_EQ(r2.execNs, r.execNs);
 
@@ -161,9 +263,11 @@ TEST(Wire, TypedBodiesRoundTrip)
     msg.kind = net::ResultBody::Kind::Message;
     msg.message = "ingested 10 documents";
     net::ResultBody msg2;
-    ASSERT_TRUE(decodeResult(encodeResult(msg), msg2));
+    ASSERT_TRUE(decodeResult(payloadOf(msg, net::kFeatureBase), msg2,
+                             rows));
     EXPECT_EQ(msg2.kind, net::ResultBody::Kind::Message);
     EXPECT_EQ(msg2.message, msg.message);
+    EXPECT_TRUE(rows.empty());
 
     net::StatsBody st;
     st.entries = {{"requests_total", 12}, {"docs", 5000}};
@@ -216,6 +320,28 @@ TEST(Wire, TruncatedFrameIsPendingNotError)
     as.feed(frame.data() + frame.size() - 4, 4);
     EXPECT_TRUE(as.next(f));
     EXPECT_EQ(f.type, net::FrameType::Query);
+}
+
+TEST(Wire, AssemblerGrowsOnlyWithTheBytesReceived)
+{
+    // A lone header claiming the largest payload must not make the
+    // assembler (one per server session) allocate for it up front.
+    std::string header = net::encodeFrame(net::FrameType::Query, "")
+                             .substr(0, net::kHeaderBytes);
+    const uint32_t claimed = net::kMaxPayload;
+    std::memcpy(header.data() + 4, &claimed, 4);
+    net::FrameAssembler as;
+    net::Frame f;
+    g_max_alloc = 0;
+    g_track_alloc = true;
+    as.feed(header.data(), header.size());
+    bool popped = as.next(f);
+    as.feed("x", 1);
+    popped = popped || as.next(f);
+    g_track_alloc = false;
+    EXPECT_FALSE(popped);
+    EXPECT_FALSE(as.error()) << as.errorDetail();
+    EXPECT_LE(g_max_alloc, 1024u);
 }
 
 TEST(Wire, GarbageMagicLatchesError)
@@ -326,23 +452,40 @@ TEST(Wire, DecodersRejectShortAndTrailingBytes)
     // holds must fail cleanly instead of over-allocating.
     net::ResultBody r;
     r.oids = {1};
-    r.rows = {{net::Cell{net::Cell::Kind::Int, 7, ""}}};
-    std::string enc = encodeResult(r);
+    net::ResultWriter w(r, 1);
+    w.row(1);
+    w.integer(7);
+    std::string enc = w.finish(0, net::kFeatureBase).substr(net::kHeaderBytes);
     net::ResultBody out;
-    EXPECT_FALSE(decodeResult(enc.substr(0, enc.size() / 2), out));
+    net::DecodedRows rows;
+    EXPECT_FALSE(decodeResult(enc.substr(0, enc.size() / 2), out, rows));
+    EXPECT_TRUE(rows.empty());
 }
 
 // ---------------------------------------------------------------------
 // RESULT encoding: rows written straight from slots.
 // ---------------------------------------------------------------------
 
+/** One result cell as the original cell path held it. */
+struct OracleCell
+{
+    net::CellKind kind = net::CellKind::Null;
+    int64_t i = 0;
+    std::string s;
+
+    bool operator==(const OracleCell &) const = default;
+};
+
+using OracleRows = std::vector<std::vector<OracleCell>>;
+
 /**
  * The RESULT encoding as it was when the server first converted every
- * slot to a net::Cell and encoded the cells: the oracle the
+ * slot to a cell object and encoded the cells: the oracle the
  * slot-direct writer must match byte for byte.
  */
 std::string
-cellPathEncodeResult(const net::ResultBody &b, uint32_t level)
+cellPathEncodeResult(const net::ResultBody &b, const OracleRows &rows,
+                     uint32_t level)
 {
     net::Writer w;
     w.u8(static_cast<uint8_t>(b.kind));
@@ -353,14 +496,14 @@ cellPathEncodeResult(const net::ResultBody &b, uint32_t level)
     w.u32(static_cast<uint32_t>(b.oids.size()));
     for (int64_t oid : b.oids)
         w.i64(oid);
-    w.u32(static_cast<uint32_t>(b.rows.size()));
-    for (const auto &row : b.rows) {
+    w.u32(static_cast<uint32_t>(rows.size()));
+    for (const auto &row : rows) {
         w.u32(static_cast<uint32_t>(row.size()));
-        for (const net::Cell &c : row) {
+        for (const OracleCell &c : row) {
             w.u8(static_cast<uint8_t>(c.kind));
-            if (c.kind == net::Cell::Kind::Int)
+            if (c.kind == net::CellKind::Int)
                 w.i64(c.i);
-            else if (c.kind == net::Cell::Kind::Str)
+            else if (c.kind == net::CellKind::Str)
                 w.str(c.s);
         }
     }
@@ -389,15 +532,15 @@ cellPathEncodeResult(const net::ResultBody &b, uint32_t level)
 }
 
 /** The cell-path conversion of one slot (the oracle's input side). */
-net::Cell
+OracleCell
 slotCell(const engine::DataSet &data, storage::Slot s)
 {
     if (storage::isNull(s))
-        return {net::Cell::Kind::Null, 0, ""};
+        return {net::CellKind::Null, 0, ""};
     if (storage::isStringSlot(s))
-        return {net::Cell::Kind::Str, 0,
+        return {net::CellKind::Str, 0,
                 data.dict.text(storage::decodeString(s))};
-    return {net::Cell::Kind::Int, s, ""};
+    return {net::CellKind::Int, s, ""};
 }
 
 TEST(ResultEncoding, SlotRowsMatchTheCellPathByteForByte)
@@ -409,10 +552,10 @@ TEST(ResultEncoding, SlotRowsMatchTheCellPathByteForByte)
         storage::encodeString(data.dict.intern("sparse_val_\xc3\xa9"));
 
     engine::ResultSet many;
-    many.rows = {{123, hello, storage::kNullSlot},
-                 {storage::kNullSlot, -5, empty},
-                 {utf8, 0, std::numeric_limits<int64_t>::min() + 1},
-                 {hello, hello, -1}};
+    many.rows.append({123, hello, storage::kNullSlot});
+    many.rows.append({storage::kNullSlot, -5, empty});
+    many.rows.append({utf8, 0, std::numeric_limits<int64_t>::min() + 1});
+    many.rows.append({hello, hello, -1});
     many.oids = {7, 9, 11, 13};
     many.checksum = 0x1234;
     engine::ResultSet none; // zero rows
@@ -432,32 +575,40 @@ TEST(ResultEncoding, SlotRowsMatchTheCellPathByteForByte)
             ASSERT_TRUE(server::encodeRowResult(
                 meta, *rs, data, level, net::kMaxPayload, direct));
 
-            net::ResultBody cells = meta;
-            for (const auto &row : rs->rows) {
-                std::vector<net::Cell> out;
+            OracleRows cells;
+            for (engine::ResultRows::Row row : rs->rows) {
+                std::vector<OracleCell> out;
                 for (storage::Slot s : row)
                     out.push_back(slotCell(data, s));
-                cells.rows.push_back(std::move(out));
+                cells.push_back(std::move(out));
             }
-            cells.digest = rs->digest();
-            std::string oracle = cellPathEncodeResult(cells, level);
-            EXPECT_EQ(direct, oracle) << "rows " << rs->rowCount()
-                                      << ", level " << level;
-            EXPECT_EQ(encodeResult(cells, level), oracle);
+            net::ResultBody head = meta;
+            head.digest = rs->digest();
+            std::string oracle = cellPathEncodeResult(head, cells, level);
+            // One frame: the header sealed in place over the payload.
+            EXPECT_EQ(direct, net::encodeFrame(net::FrameType::Result,
+                                               oracle))
+                << "rows " << rs->rowCount() << ", level " << level;
 
             net::ResultBody back;
-            ASSERT_TRUE(decodeResult(direct, back));
+            net::DecodedRows rows;
+            ASSERT_TRUE(decodeResult(oracle, back, rows));
             EXPECT_EQ(back.columns, meta.columns);
             EXPECT_EQ(back.oids, meta.oids);
             EXPECT_EQ(back.digest, rs->digest());
             EXPECT_EQ(back.checksum, meta.checksum);
-            ASSERT_EQ(back.rows.size(), cells.rows.size());
-            for (size_t r = 0; r < back.rows.size(); ++r) {
-                ASSERT_EQ(back.rows[r].size(), cells.rows[r].size());
-                for (size_t c = 0; c < back.rows[r].size(); ++c) {
-                    EXPECT_EQ(back.rows[r][c].kind, cells.rows[r][c].kind);
-                    EXPECT_EQ(back.rows[r][c].i, cells.rows[r][c].i);
-                    EXPECT_EQ(back.rows[r][c].s, cells.rows[r][c].s);
+            ASSERT_EQ(rows.size(), cells.size());
+            for (size_t r = 0; r < rows.size(); ++r) {
+                ASSERT_EQ(rows[r].size(), cells[r].size());
+                for (size_t c = 0; c < rows[r].size(); ++c) {
+                    net::CellView got = rows[r][c];
+                    const OracleCell &want = cells[r][c];
+                    ASSERT_EQ(got.kind(), want.kind);
+                    if (want.kind == net::CellKind::Int) {
+                        EXPECT_EQ(got.integer(), want.i);
+                    } else if (want.kind == net::CellKind::Str) {
+                        EXPECT_EQ(got.text(), want.s);
+                    }
                 }
             }
             EXPECT_EQ(back.hasTraceId, level >= net::kFeatureTrace);
@@ -472,12 +623,170 @@ TEST(ResultEncoding, SlotRowsMatchTheCellPathByteForByte)
     msg.hasTraceId = true;
     msg.traceId = 3;
     for (uint32_t level : {net::kFeatureBase, net::kFeatureTrace}) {
-        EXPECT_EQ(encodeResult(msg, level),
-                  cellPathEncodeResult(msg, level));
+        EXPECT_EQ(payloadOf(msg, level),
+                  cellPathEncodeResult(msg, {}, level));
         net::ResultBody back;
-        ASSERT_TRUE(decodeResult(encodeResult(msg, level), back));
+        net::DecodedRows rows;
+        ASSERT_TRUE(decodeResult(payloadOf(msg, level), back, rows));
         EXPECT_EQ(back.kind, net::ResultBody::Kind::Message);
         EXPECT_EQ(back.message, msg.message);
+    }
+}
+
+/** Every decoded cell, read through its view. */
+OracleRows
+decodedCells(const net::DecodedRows &rows)
+{
+    OracleRows out;
+    for (net::RowView row : rows) {
+        std::vector<OracleCell> cells;
+        for (size_t c = 0; c < row.size(); ++c) {
+            net::CellView v = row[c];
+            OracleCell cell{v.kind(), 0, ""};
+            if (cell.kind == net::CellKind::Int)
+                cell.i = v.integer();
+            else if (cell.kind == net::CellKind::Str)
+                cell.s = std::string(v.text());
+            cells.push_back(std::move(cell));
+        }
+        out.push_back(std::move(cells));
+    }
+    return out;
+}
+
+/**
+ * Decode @p payload with allocation tracking on.  Returns whether it
+ * decoded; @p cells receives the cells when it did, and the largest
+ * single allocation is checked against the decoder's bound: one u32
+ * of index per cell (a cell takes at least one byte) and one string
+ * per column (a column takes at least four), so at most 8 bytes per
+ * payload byte.
+ */
+bool
+decodeTracked(const std::string &payload, OracleRows &cells)
+{
+    net::ResultBody body;
+    net::DecodedRows rows;
+    g_max_alloc = 0;
+    g_track_alloc = true;
+    std::string copy = payload;
+    bool ok = net::decodeResult(std::move(copy), body, rows);
+    g_track_alloc = false;
+    EXPECT_LE(g_max_alloc, 8 * payload.size() + 64)
+        << "payload of " << payload.size() << " bytes";
+    if (ok)
+        cells = decodedCells(rows); // reads every cell in place
+    return ok;
+}
+
+/** RESULT frames shaped like Q1, Q5, Q6, Q10 and a Message. */
+std::vector<std::string>
+damageShapes(uint32_t level)
+{
+    engine::DataSet data;
+    auto str = [&data](const std::string &t) {
+        return storage::encodeString(data.dict.intern(t));
+    };
+    std::mt19937_64 rng(level);
+    auto wide = [&](size_t nrows) {
+        // SELECT * rows: 1018 cells, about 2% of them set.
+        engine::ResultSet rs;
+        for (size_t r = 0; r < nrows; ++r) {
+            storage::Slot *row = rs.rows.appendRow(1018);
+            for (size_t c = 0; c < 1018; c += 1 + rng() % 90) {
+                auto num = static_cast<storage::Slot>(rng() % 1000000);
+                row[c] = rng() % 2 ? str("sparse_" + std::to_string(c))
+                                   : num - 500000;
+            }
+            rs.oids.push_back(static_cast<int64_t>(r * 37));
+        }
+        return rs;
+    };
+    engine::ResultSet q1, q10;
+    for (int r = 0; r < 12; ++r) {
+        q1.rows.append({str("str1_" + std::to_string(r)), r * 1000 - 5});
+        q1.oids.push_back(r);
+    }
+    for (int g = 0; g < 20; ++g)
+        q10.rows.append(
+            {g == 0 ? storage::kNullSlot : g * 1000, 7 + g});
+    std::vector<std::string> frames;
+    for (const engine::ResultSet &rs : {q1, wide(1), wide(3), q10}) {
+        net::ResultBody meta;
+        meta.columns = {"c0", "c1"};
+        meta.oids = rs.oids;
+        meta.checksum = 0xC0FFEE;
+        meta.execNs = 1234;
+        meta.hasTraceId = true;
+        meta.traceId = 0xABCDEF;
+        meta.opStats = {{"rows_out", rs.rowCount()}, {"plan_ns", 7}};
+        std::string frame;
+        EXPECT_TRUE(server::encodeRowResult(meta, rs, data, level,
+                                            net::kMaxPayload, frame));
+        frames.push_back(frame);
+    }
+    net::ResultBody msg;
+    msg.kind = net::ResultBody::Kind::Message;
+    msg.message = "EXPLAIN text";
+    msg.hasTraceId = true;
+    msg.traceId = 9;
+    frames.push_back(net::ResultWriter(msg, 0).finish(0, level));
+    return frames;
+}
+
+TEST(ResultDecoding, TruncatedPrefixesDecodeWholeOrFail)
+{
+    // A strict prefix can still be a valid payload (a level-2 payload
+    // cut just before its TLV block is a level-1 payload), but then it
+    // carries exactly the original cells.
+    for (uint32_t level : {net::kFeatureBase, net::kFeatureTrace}) {
+        for (const std::string &frame : damageShapes(level)) {
+            std::string payload = frame.substr(net::kHeaderBytes);
+            OracleRows want;
+            ASSERT_TRUE(decodeTracked(payload, want));
+            for (size_t len = 0; len < payload.size(); ++len) {
+                OracleRows got;
+                if (decodeTracked(payload.substr(0, len), got)) {
+                    ASSERT_EQ(got, want) << "prefix " << len;
+                }
+            }
+        }
+    }
+}
+
+TEST(ResultDecoding, FlippedBytesDecodeWholeOrFail)
+{
+    for (uint32_t level : {net::kFeatureBase, net::kFeatureTrace}) {
+        for (const std::string &frame : damageShapes(level)) {
+            std::string payload = frame.substr(net::kHeaderBytes);
+            OracleRows want;
+            ASSERT_TRUE(decodeTracked(payload, want));
+            for (size_t at = 0; at < frame.size(); ++at) {
+                for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+                    SCOPED_TRACE("byte " + std::to_string(at) + " ^ " +
+                                 std::to_string(mask));
+                    std::string bad = frame;
+                    bad[at] = static_cast<char>(bad[at] ^ mask);
+                    // The decoder on its own stays inside the payload
+                    // and its allocation bound whatever the damage.
+                    OracleRows cells;
+                    if (at >= net::kHeaderBytes)
+                        decodeTracked(bad.substr(net::kHeaderBytes), cells);
+                    // What a client sees: the frame is refused (CRC,
+                    // header checks), arrives as another frame type,
+                    // or decodes to exactly the original cells.
+                    net::FrameAssembler in;
+                    in.feed(bad.data(), bad.size());
+                    net::Frame f;
+                    if (!in.next(f) || f.type != net::FrameType::Result)
+                        continue;
+                    OracleRows got;
+                    if (decodeTracked(f.payload, got)) {
+                        ASSERT_EQ(got, want);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -487,27 +796,178 @@ TEST(ResultEncoding, RowWriterStopsPastTheByteCap)
     storage::Slot s = storage::encodeString(data.dict.intern("0123456789"));
     engine::ResultSet rs;
     for (int i = 0; i < 100; ++i)
-        rs.rows.push_back({i, s});
+        rs.rows.append({i, s});
     net::ResultBody meta;
     meta.columns = {"num", "str1"};
 
     std::string full;
     ASSERT_TRUE(server::encodeRowResult(meta, rs, data, net::kFeatureBase,
                                         net::kMaxPayload, full));
+    size_t payload = full.size() - net::kHeaderBytes;
     std::string out;
     // The cap is inclusive: exactly the payload size fits, one byte
     // less does not, and a tiny cap stops within the first rows.
     EXPECT_TRUE(server::encodeRowResult(meta, rs, data,
-                                        net::kFeatureBase, full.size(),
-                                        out));
+                                        net::kFeatureBase, payload, out));
     EXPECT_EQ(out, full);
     EXPECT_FALSE(server::encodeRowResult(
-        meta, rs, data, net::kFeatureBase, full.size() - 1, out));
+        meta, rs, data, net::kFeatureBase, payload - 1, out));
     EXPECT_FALSE(server::encodeRowResult(meta, rs, data,
                                          net::kFeatureBase, 64, out));
     engine::ResultSet none;
     EXPECT_TRUE(server::encodeRowResult(meta, none, data,
                                         net::kFeatureBase, 64, out));
+}
+
+// ---------------------------------------------------------------------
+// Client-side failures are typed.
+// ---------------------------------------------------------------------
+
+/**
+ * A one-connection peer: it answers HELLO, answers the first QUERY
+ * with the raw bytes @p reply, and closes the connection.
+ */
+class ScriptedPeer
+{
+  public:
+    explicit ScriptedPeer(std::string reply) : reply(std::move(reply))
+    {
+        std::string err;
+        fd = net::listenTcp("127.0.0.1", 0, &port, &err);
+        EXPECT_GE(fd, 0) << err;
+        thread = std::thread([this] { serve(); });
+    }
+
+    ~ScriptedPeer()
+    {
+        thread.join();
+        net::closeFd(fd);
+    }
+
+    uint16_t port = 0;
+
+  private:
+    void
+    serve()
+    {
+        int c = ::accept(fd, nullptr, nullptr);
+        if (c < 0)
+            return;
+        net::FrameAssembler in;
+        net::Frame f;
+        auto next = [&] {
+            char buf[4096];
+            while (!in.next(f)) {
+                long got = net::recvSome(c, buf, sizeof(buf));
+                if (got <= 0)
+                    return false;
+                in.feed(buf, static_cast<size_t>(got));
+            }
+            return true;
+        };
+        if (next() && f.type == net::FrameType::Hello) {
+            net::HelloOkBody ok;
+            ok.wireVersion = net::kFeatureBase;
+            ok.serverName = "scripted";
+            ok.sessionId = 1;
+            std::string hello = net::encodeFrame(net::FrameType::HelloOk,
+                                                 encodeHelloOk(ok));
+            net::sendAll(c, hello.data(), hello.size());
+            if (next() && f.type == net::FrameType::Query)
+                net::sendAll(c, reply.data(), reply.size());
+        }
+        net::closeFd(c);
+    }
+
+    std::string reply;
+    int fd = -1;
+    std::thread thread;
+};
+
+/** The answer a client gives to one query against @p reply. */
+client::Result
+answerTo(const std::string &reply)
+{
+    ScriptedPeer peer(reply);
+    client::Client c;
+    std::string err = c.connect("127.0.0.1", peer.port, "unit");
+    EXPECT_EQ(err, "");
+    client::Result r = c.query("SELECT str1 FROM t");
+    c.close();
+    return r;
+}
+
+/** A valid one-row RESULT frame. */
+std::string
+oneRowFrame()
+{
+    net::ResultBody head;
+    head.columns = {"str1"};
+    head.oids = {1};
+    net::ResultWriter w(head, 1);
+    w.row(1);
+    w.text("str1_1");
+    return w.finish(0x1234, net::kFeatureBase);
+}
+
+TEST(ClientErrors, NotConnectedIsConnectionLost)
+{
+    client::Client c;
+    client::Result r = c.query("SELECT str1 FROM t");
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.errorCode, net::ErrorCode::ConnectionLost);
+    EXPECT_STREQ(net::errorCodeName(r.errorCode), "CONNECTION_LOST");
+}
+
+TEST(ClientErrors, FlippedResultByteIsProtocol)
+{
+    std::string good = oneRowFrame();
+    client::Result ok = answerTo(good);
+    ASSERT_TRUE(ok.ok) << ok.error;
+    ASSERT_EQ(ok.rows.size(), 1u);
+    EXPECT_EQ(ok.rows[0][0].text(), "str1_1");
+
+    // A flipped payload byte under the original CRC: the frame is
+    // refused before it is decoded.
+    std::string stale = good;
+    stale.back() = static_cast<char>(stale.back() ^ 0x40);
+    client::Result r1 = answerTo(stale);
+    EXPECT_FALSE(r1.ok);
+    EXPECT_EQ(r1.errorCode, net::ErrorCode::Protocol) << r1.error;
+
+    // The same kind of flip under a fresh CRC: the cell's kind byte
+    // becomes 3, which no RESULT carries.
+    std::string payload = good.substr(net::kHeaderBytes);
+    size_t kind_at = payload.find("str1_1") - 5; // kind, u32 length
+    ASSERT_EQ(payload[kind_at], static_cast<char>(net::CellKind::Str));
+    payload[kind_at] = static_cast<char>(payload[kind_at] ^ 0x01);
+    client::Result r2 =
+        answerTo(net::encodeFrame(net::FrameType::Result, payload));
+    EXPECT_FALSE(r2.ok);
+    EXPECT_EQ(r2.errorCode, net::ErrorCode::Protocol) << r2.error;
+    EXPECT_NE(r2.error.find("malformed RESULT"), std::string::npos);
+}
+
+TEST(ClientErrors, UnexpectedFrameIsProtocol)
+{
+    client::Result r = answerTo(
+        net::encodeFrame(net::FrameType::StatsResult,
+                         net::encodeStats(net::StatsBody{})));
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.errorCode, net::ErrorCode::Protocol) << r.error;
+    EXPECT_NE(r.error.find("STATS_RESULT"), std::string::npos);
+}
+
+TEST(ClientErrors, ServerClosingMidResponseIsConnectionLost)
+{
+    std::string good = oneRowFrame();
+    for (size_t cut : {size_t{0}, size_t{7}, good.size() / 2,
+                       good.size() - 1}) {
+        client::Result r = answerTo(good.substr(0, cut));
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.errorCode, net::ErrorCode::ConnectionLost)
+            << "cut at " << cut << ": " << r.error;
+    }
 }
 
 // ---------------------------------------------------------------------
