@@ -220,7 +220,8 @@ main(int argc, char **argv)
     if (want_stats && c.connected()) {
         client::Stats s = c.stats();
         if (!s.ok) {
-            std::fprintf(stderr, "stats: %s\n", s.error.c_str());
+            std::fprintf(stderr, "stats error (%s): %s\n",
+                         net::errorCodeName(s.code), s.error.c_str());
             ++failures;
         } else {
             printStats(s);

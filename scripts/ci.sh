@@ -148,6 +148,23 @@ print(f"result path smoke: {len(rows)} NDJSON rows, round "
       f"{sum(m[('round', f'{s}_ms')] for s in stages):.2f} ms ok")
 EOF
 
+echo "=== parallel scaling ==="
+# Q1-Q11 on the DVP layout at 1/2/4/8 lanes: the bench aborts unless
+# every lane count reproduces the serial digest, and its NDJSON must
+# time every query at every lane count.
+./build-ci/bench/bench_parallel_scaling --docs 3000 --repeats 1 \
+    --json "$OBS_TMP/scaling.ndjson" > /dev/null
+python3 - "$OBS_TMP" <<'EOF'
+import json, sys
+rows = [json.loads(l) for l in open(f"{sys.argv[1]}/scaling.ndjson")]
+assert rows and all(r["bench"] == "parallel_scaling" for r in rows)
+seen = {(r["query"], r["threads"]) for r in rows}
+want = {(f"Q{i}", t) for i in range(1, 12) for t in (1, 2, 4, 8)}
+assert want <= seen, sorted(want - seen)
+assert all(r["seconds"] > 0 for r in rows)
+print(f"parallel scaling smoke: {len(want)} query x lane cells ok")
+EOF
+
 echo "=== network server ==="
 # End-to-end over real sockets: dvpd on an ephemeral port discovered
 # via --port-file, a dvp_client smoke (query + EXPLAIN + stats), a
@@ -520,11 +537,13 @@ echo "=== address-sanitizer build ==="
 # executions, and layout mutations under randomized move sequences.
 # test_persist adds static-destruction order: fixtures whose
 # destructors flush metrics after main() returns.  test_engine and
-# test_argo add the offset arithmetic of the flat result rows.
+# test_argo add the offset arithmetic of the flat result rows, and
+# test_parallel the lanes that write SELECT * cells at computed
+# offsets of pre-sized rows.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDVP_SANITIZE=address
 cmake --build build-asan -j "$JOBS"
 DVP_TEST_DOCS=800 ctest --test-dir build-asan --output-on-failure \
-    -j "$JOBS" -R 'test_plan|test_adaptive|test_layout|test_kernels|test_compress|test_server|test_analyze|test_ingest|test_json_tape|test_durability|test_persist|test_engine|test_argo'
+    -j "$JOBS" -R 'test_plan|test_adaptive|test_layout|test_kernels|test_compress|test_server|test_analyze|test_ingest|test_json_tape|test_durability|test_persist|test_engine|test_argo|test_parallel'
 
 echo "ci.sh: all suites passed"

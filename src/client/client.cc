@@ -176,33 +176,37 @@ Client::query(const std::string &sql)
 Stats
 Client::stats()
 {
+    using net::ErrorCode;
     Stats s;
-    if (!connected()) {
-        s.error = "not connected";
+    auto fail = [&s](ErrorCode code, std::string message) {
+        s.code = code;
+        s.error = std::move(message);
         return s;
-    }
-    if (!sendFrame(net::FrameType::Stats, "")) {
-        s.error = "send failed (connection lost)";
-        return s;
-    }
+    };
+    if (!connected())
+        return fail(ErrorCode::ConnectionLost, "not connected");
+    if (!sendFrame(net::FrameType::Stats, ""))
+        return fail(ErrorCode::ConnectionLost,
+                    "send failed (connection lost)");
     net::Frame f;
     std::string err;
-    if (!readFrame(f, &err)) {
-        s.error = err.empty() ? "connection closed by server" : err;
-        return s;
-    }
+    if (!readFrame(f, &err))
+        return fail(in.error() ? ErrorCode::Protocol
+                               : ErrorCode::ConnectionLost,
+                    err.empty() ? "connection closed by server" : err);
     if (f.type == net::FrameType::Error) {
         net::ErrorBody e;
-        decodeError(f.payload, e);
-        s.error = e.message;
-        return s;
+        if (!decodeError(f.payload, e))
+            return fail(ErrorCode::Protocol, "malformed ERROR frame");
+        return fail(e.code, std::move(e.message));
     }
+    if (f.type != net::FrameType::StatsResult)
+        return fail(ErrorCode::Protocol,
+                    std::string("unexpected frame ") +
+                        net::frameTypeName(f.type));
     net::StatsBody body;
-    if (f.type != net::FrameType::StatsResult ||
-        !decodeStats(f.payload, body)) {
-        s.error = "malformed STATS_RESULT frame";
-        return s;
-    }
+    if (!decodeStats(f.payload, body))
+        return fail(ErrorCode::Protocol, "malformed STATS_RESULT frame");
     s.ok = true;
     s.entries = std::move(body.entries);
     return s;

@@ -68,7 +68,8 @@ struct Result
 struct Stats
 {
     bool ok = false;
-    std::string error;
+    net::ErrorCode code = net::ErrorCode::None; ///< set as Result::errorCode
+    std::string error; ///< message when !ok
     std::vector<std::pair<std::string, uint64_t>> entries;
 
     /** Value for @p key, or @p fallback when absent. */

@@ -83,6 +83,14 @@ class Exec
     {
     }
 
+    /**
+     * The timing path.  Its operators may reorder work (kernels,
+     * sorted probes, partition-split retrieval); the SimTracer
+     * instantiation keeps the paper's loops, whose access sequence is
+     * Figs. 6-7, and is the oracle the timing path is tested against.
+     */
+    static constexpr bool kTiming = std::is_same_v<Tracer, NullTracer>;
+
     // Work counters, accumulated as plain increments on whichever lane
     // runs the kernel and merged additively at joinLanes (same
     // discipline as the tracer), then flushed to the metrics registry
@@ -188,8 +196,45 @@ class Exec
                     return std::move(part.out);
                 }));
         }
+        if constexpr (kTiming && std::is_same_v<Sink, ops::RowSink>) {
+            if (plan.retrieve.selectAll && partitionMorsels(n) > 1)
+                return retrieveAllByPartition(matches);
+        }
         retrieveRange(matches.data(), n, sink);
         return std::move(sink.out);
+    }
+
+    /**
+     * SELECT * of matches that fit one morsel, split by partition
+     * instead: each lane probes its partitions for every match and
+     * writes their cells into pre-sized NULL rows.  Layout::validate
+     * keeps partitions disjoint, so lanes write disjoint columns.
+     * Rows, oids and checksum equal retrieveRange's.
+     */
+    ResultSet
+    retrieveAllByPartition(const std::vector<int64_t> &matches)
+    {
+        const size_t n = matches.size();
+        const size_t width = plan.catalogWidth;
+        ResultSet rs;
+        rs.oids = matches;
+        Slot *rows = rs.rows.assignNull(n, width);
+        rs.checksum = acrossPartitions(
+            matches.data(), n,
+            [&](Exec &e, size_t m, const Table &t, size_t row) {
+                const Slot *rec = e.readRecord(t, row);
+                const auto &schema = t.schema();
+                uint64_t x = 0;
+                for (size_t c = 0; c < schema.size(); ++c) {
+                    Slot s = rec[1 + c];
+                    if (schema[c] < width)
+                        rows[m * width + schema[c]] = s;
+                    if (!isNull(s))
+                        x ^= cellDigest(schema[c], s);
+                }
+                return x;
+            });
+        return rs;
     }
 
     std::vector<int64_t>
@@ -233,6 +278,10 @@ class Exec
           case FilterMode::AnyEq: {
             // AnyEq: value = ANY flattened-array column.
             std::vector<const Table *> tables = resolve(f.tables);
+            if constexpr (kTiming) {
+                if (vectorized)
+                    return anyEqVec(tables, f.cols, c);
+            }
             if (parallel()) {
                 std::vector<int64_t> bounds =
                     oidBoundaries(tablePtr(f.driving));
@@ -261,9 +310,10 @@ class Exec
         const HashSelfJoinOp &jn = plan.join;
 
         // Build side: left records passing the WHERE clause, keyed by
-        // the left join attribute.  (The WHERE scan morselizes; the
-        // build/probe/materialize phases stay on the caller's thread.)
+        // the left join attribute.
         std::vector<int64_t> left = matches(q);
+        if constexpr (kTiming)
+            return joinSorted(left);
         std::unordered_multimap<Slot, int64_t> build;
         if (jn.buildTable >= 0) {
             const Table &t = db.table(jn.buildTable);
@@ -340,6 +390,126 @@ class Exec
     }
 
   private:
+    /**
+     * join() on the timing path, pair for pair and cell for cell the
+     * traced hash join's result:
+     *  - the build is a flat (key, left oid) array sorted by key, equal
+     *    keys in descending left oid — the order libstdc++'s
+     *    unordered_multimap::equal_range yields (newest first);
+     *  - the right join column is probed by binary search, in row-range
+     *    morsels merged in row order;
+     *  - the SELECT * materialize walks the pairs' distinct oids once,
+     *    sorted, with a forward-only cursor per partition, the
+     *    partitions split across lanes.  A record's digest enters the
+     *    checksum once per occurrence (so an even count cancels) and
+     *    every occurrence counts its partition touch.
+     */
+    ResultSet
+    joinSorted(const std::vector<int64_t> &left)
+    {
+        const HashSelfJoinOp &jn = plan.join;
+        using Entry = std::pair<Slot, int64_t>;   // (key, left oid)
+        using Pair = std::pair<int64_t, int64_t>; // (left oid, right oid)
+        std::vector<Entry> build;
+        if (jn.buildTable >= 0) {
+            const Table &t = db.table(jn.buildTable);
+            Cursor cursor;
+            build.reserve(left.size());
+            for (int64_t oid : left) {
+                if (probe(t, cursor, oid) == storage::kNoRow)
+                    continue;
+                Slot key = readCell(t, cursor.pos,
+                                    static_cast<size_t>(jn.buildCol));
+                if (!isNull(key))
+                    build.emplace_back(key, oid);
+            }
+            std::sort(build.begin(), build.end(),
+                      [](const Entry &a, const Entry &b) {
+                          return a.first != b.first ? a.first < b.first
+                                                    : a.second > b.second;
+                      });
+        }
+
+        ResultSet rs;
+        if (build.empty())
+            return rs;
+
+        std::vector<Pair> pairs;
+        if (jn.probeTable >= 0) {
+            const Table &rt = db.table(jn.probeTable);
+            countRows(rt.rows());
+            DVP_TRACE_SPAN(probe_span, "scan", "join probe");
+            const size_t col = static_cast<size_t>(jn.probeCol);
+            auto probeRows = [&](Exec &e, size_t r0, size_t r1) {
+                std::vector<Pair> out;
+                for (size_t r = r0; r < r1; ++r) {
+                    Slot key = e.readCell(rt, r, col);
+                    if (isNull(key))
+                        continue;
+                    auto it = std::lower_bound(
+                        build.begin(), build.end(), key,
+                        [](const Entry &a, Slot k) { return a.first < k; });
+                    if (it == build.end() || it->first != key)
+                        continue;
+                    int64_t roid = e.readOid(rt, r);
+                    for (; it != build.end() && it->first == key; ++it)
+                        out.emplace_back(it->second, roid);
+                }
+                return out;
+            };
+            if (scatterScan(rt.rows())) {
+                size_t nm = (rt.rows() + morsel_rows - 1) / morsel_rows;
+                pairs = flatten(scatter<std::vector<Pair>>(
+                    nm, [&](Exec &lane, size_t i) {
+                        size_t r0 = i * lane.morsel_rows;
+                        return probeRows(
+                            lane, r0,
+                            std::min(r0 + lane.morsel_rows, rt.rows()));
+                    }));
+            } else {
+                pairs = probeRows(*this, 0, rt.rows());
+            }
+        }
+
+        DVP_TRACE_SPAN(retrieve_span, "retrieve", "join materialize");
+        std::vector<int64_t> ids;
+        ids.reserve(2 * pairs.size());
+        for (auto [loid, roid] : pairs) {
+            ids.push_back(loid);
+            ids.push_back(roid);
+        }
+        std::sort(ids.begin(), ids.end());
+        std::vector<int64_t> oids;
+        std::vector<uint32_t> occurrences;
+        for (size_t i = 0; i < ids.size();) {
+            size_t j = i;
+            while (j < ids.size() && ids[j] == ids[i])
+                ++j;
+            oids.push_back(ids[i]);
+            occurrences.push_back(static_cast<uint32_t>(j - i));
+            i = j;
+        }
+        rs.checksum = acrossPartitions(
+            oids.data(), oids.size(),
+            [&](Exec &e, size_t m, const Table &t, size_t row) {
+                // probe() counted the first occurrence's touch.
+                e.obs_partition_touches += occurrences[m] - 1;
+                if (occurrences[m] % 2 == 0)
+                    return uint64_t{0};
+                const Slot *rec = e.readRecord(t, row);
+                const auto &schema = t.schema();
+                uint64_t x = 0;
+                for (size_t c = 0; c < schema.size(); ++c)
+                    if (!isNull(rec[1 + c]))
+                        x ^= cellDigest(schema[c], rec[1 + c]);
+                return x;
+            });
+        rs.rows.reserve(pairs.size(), 2);
+        for (auto [loid, roid] : pairs)
+            rs.rows.append({loid, roid});
+        return rs;
+    }
+
     Database &db;
     const PhysicalPlan &plan;
     Tracer tr;
@@ -431,12 +601,23 @@ class Exec
         return presenceRange(all, INT64_MIN, INT64_MAX);
     }
 
-    /** Single-column predicate scan, morselized by row range. */
+    /**
+     * Single-column predicate scan, morselized by row range once the
+     * rows left to scan hold a morsel per lane (scatterScan): those of
+     * the blocks whose zone maps can match on the vectorized path, all
+     * rows otherwise.  A smaller scan stays on the caller.
+     */
     std::vector<int64_t>
     columnMatches(const FilterScanOp &f, const Condition &c)
     {
         const Table &t = db.table(f.table);
-        if (parallel() && t.rows() > morsel_rows) {
+        size_t live = t.rows();
+        if constexpr (kTiming) {
+            if (vectorized)
+                live = liveRows(t, static_cast<size_t>(f.col),
+                                kernels::fromCondition(c));
+        }
+        if (scatterScan(live)) {
             size_t nm = (t.rows() + morsel_rows - 1) / morsel_rows;
             return flatten(scatter<std::vector<int64_t>>(
                 nm, [&](Exec &lane, size_t i) {
@@ -447,6 +628,131 @@ class Exec
                 }));
         }
         return condRange(t, f.col, c, 0, t.rows());
+    }
+
+    /** Rows of @p t's blocks whose zone maps for @p col can match @p p. */
+    static size_t
+    liveRows(const Table &t, size_t col, const kernels::Pred &p)
+    {
+        size_t rows = 0;
+        for (size_t b = 0; b < t.blockCount(); ++b)
+            if (kernels::zoneCanMatch(p, t.zone(b, col)))
+                rows += t.blockRows(b);
+        return rows;
+    }
+
+    /**
+     * `value = ANY array` on the batched kernels: condRangeVec (zone
+     * maps + Eq/StrEq) over each bound array column, the per-column
+     * sorted oid lists unioned.  A morsel is one table's whole-block
+     * range, so every (block, column) is scanned or skipped exactly
+     * once at any lane count; rows_scanned counts column-rows.  The
+     * scan scatters once the blocks that survive the zone maps hold a
+     * morsel of rows per lane.
+     */
+    std::vector<int64_t>
+    anyEqVec(const std::vector<const Table *> &tables,
+             const std::vector<std::vector<int>> &cols,
+             const Condition &c)
+    {
+        using storage::kZoneRows;
+        struct Unit
+        {
+            size_t table, b0, b1;
+        };
+        const kernels::Pred p = kernels::fromCondition(c);
+        const size_t per = std::max<size_t>(1, morsel_rows / kZoneRows);
+        std::vector<Unit> units;
+        size_t live = 0;
+        for (size_t i = 0; i < tables.size(); ++i) {
+            const size_t nb = tables[i]->blockCount();
+            for (size_t b0 = 0; b0 < nb; b0 += per)
+                units.push_back({i, b0, std::min(nb, b0 + per)});
+            for (int col : cols[i])
+                live += liveRows(*tables[i], static_cast<size_t>(col), p);
+        }
+        auto scan = [&](Exec &e, const Unit &u) {
+            const Table &t = *tables[u.table];
+            size_t r0 = u.b0 * kZoneRows;
+            size_t r1 = std::min(t.rows(), u.b1 * kZoneRows);
+            std::vector<int64_t> out, merged;
+            for (int col : cols[u.table]) {
+                std::vector<int64_t> m = e.condRangeVec(t, col, c, r0, r1);
+                if (out.empty()) {
+                    out = std::move(m);
+                    continue;
+                }
+                merged.clear();
+                std::set_union(out.begin(), out.end(), m.begin(), m.end(),
+                               std::back_inserter(merged));
+                out.swap(merged);
+            }
+            return out;
+        };
+        std::vector<std::vector<int64_t>> parts;
+        if (units.size() > 1 && scatterScan(live)) {
+            parts = scatter<std::vector<int64_t>>(
+                units.size(), [&](Exec &lane, size_t i) {
+                    return scan(lane, units[i]);
+                });
+        } else {
+            for (const Unit &u : units)
+                parts.push_back(scan(*this, u));
+        }
+        std::vector<int64_t> out = flatten(std::move(parts));
+        if (tables.size() > 1) {
+            std::sort(out.begin(), out.end());
+            out.erase(std::unique(out.begin(), out.end()), out.end());
+        }
+        return out;
+    }
+
+    /**
+     * Lanes for probing @p n sorted oids in every partition: one per
+     * morsel_rows probes, at most one per partition; 1 = serial.
+     */
+    size_t
+    partitionMorsels(size_t n) const
+    {
+        if (!parallel())
+            return 1;
+        size_t nt = db.tableCount();
+        return std::max<size_t>(1, std::min(nt, n * nt / morsel_rows));
+    }
+
+    /**
+     * Probe every partition for each of the @p n sorted @p oids with a
+     * forward-only cursor, calling hit(exec, m, table, row) for each
+     * oids[m] the partition holds; returns the XOR of the hits'
+     * results.  The partitions split into contiguous ranges across
+     * lanes once partitionMorsels(n) > 1.
+     */
+    template <class Hit>
+    uint64_t
+    acrossPartitions(const int64_t *oids, size_t n, Hit hit)
+    {
+        auto walk = [&](Exec &e, size_t t0, size_t t1) {
+            uint64_t x = 0;
+            for (size_t ti = t0; ti < t1; ++ti) {
+                const Table &t = e.db.table(ti);
+                Cursor cursor;
+                for (size_t m = 0; m < n; ++m)
+                    if (e.probe(t, cursor, oids[m]) != storage::kNoRow)
+                        x ^= hit(e, m, t, cursor.pos);
+            }
+            return x;
+        };
+        const size_t nt = db.tableCount();
+        const size_t nm = partitionMorsels(n);
+        if (nm == 1)
+            return walk(*this, 0, nt);
+        uint64_t x = 0;
+        for (uint64_t part : scatter<uint64_t>(
+                 nm, [&](Exec &lane, size_t i) {
+                     return walk(lane, i * nt / nm, (i + 1) * nt / nm);
+                 }))
+            x ^= part;
+        return x;
     }
 
     /** Resolve a plan's table indices against this Database snapshot. */
@@ -653,6 +959,18 @@ class Exec
         return threads > 1;
     }
 
+    /**
+     * Whether a scan that reads @p rows rows should scatter: only when
+     * they give every lane of the query at least one morsel.  Below
+     * that, forking lanes costs more than the scan saves.
+     */
+    bool
+    scatterScan(size_t rows) const
+    {
+        size_t lanes = std::min(threads, ThreadPool::shared().laneCount());
+        return parallel() && rows >= lanes * morsel_rows;
+    }
+
     /** One serial (threads=1) Exec per pool lane, on forked tracers. */
     std::vector<Exec>
     forkLanes()
@@ -764,15 +1082,16 @@ class Exec
         return parts;
     }
 
-    /** Flatten per-morsel match vectors (each sorted; ranges ordered). */
-    static std::vector<int64_t>
-    flatten(std::vector<std::vector<int64_t>> parts)
+    /** Concatenate per-morsel outputs in morsel order. */
+    template <class T>
+    static std::vector<T>
+    flatten(std::vector<std::vector<T>> parts)
     {
         DVP_TRACE_SPAN(merge_span, "merge", "flatten matches");
         size_t total = 0;
         for (const auto &p : parts)
             total += p.size();
-        std::vector<int64_t> out;
+        std::vector<T> out;
         out.reserve(total);
         for (const auto &p : parts)
             out.insert(out.end(), p.begin(), p.end());
@@ -797,7 +1116,7 @@ class Exec
             for (size_t i = 0; i < n; ++i)
                 pos[i] = tables[i]->lowerBound(lo);
         std::vector<storage::RowIdx> rows(n);
-        if constexpr (std::is_same_v<Tracer, NullTracer>) {
+        if constexpr (kTiming) {
             // Timing path: each cursor caches the oid under it, read
             // once per *advance* instead of once per merge iteration.
             // A sorted-oid cursor's value cannot change until it
@@ -944,7 +1263,7 @@ class Exec
     condRange(const Table &t, int col, const Condition &c, size_t r0,
               size_t r1)
     {
-        if constexpr (std::is_same_v<Tracer, NullTracer>) {
+        if constexpr (kTiming) {
             if (vectorized)
                 return condRangeVec(t, col, c, r0, r1);
         }

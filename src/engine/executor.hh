@@ -13,14 +13,19 @@
  *    result sets are identical across layouts (sparse omission);
  *  - aggregation runs the selection part first, folding each retrieved
  *    match into its group's count instead of materializing a row;
- *  - the self-join hash-partitions matching left records and probes
- *    with a scan of the right join column.
+ *  - the self-join builds from matching left records (a hash table on
+ *    the traced path, a key-sorted array on the timing path; same
+ *    pairs, same order) and probes with a scan of the right join
+ *    column.
  *
  * Morsel-driven parallelism: with threads > 1 the Project / Select /
  * Aggregate scan phases split into fixed-size oid-range morsels of the
  * driving table (the largest involved partition) and execute on the
  * shared work-stealing pool; each worker lane runs on a forked tracer
- * and produces an ordered partial ResultSet.  Partials concatenate in
+ * and produces an ordered partial ResultSet.  `= ANY` scans split by
+ * (table, whole-block range), the join probe by row range, and a
+ * SELECT * of few matches and the join's materialize by partition
+ * (DESIGN.md §9).  Scans below two morsels of live rows stay serial.  Partials concatenate in
  * morsel order (so rows come back in exactly the serial order) and the
  * XOR cell checksum merges order-independently, making results
  * bit-identical at every thread count.  The simulation overload stays

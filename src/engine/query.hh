@@ -299,6 +299,20 @@ class ResultRows
     }
     void append(std::initializer_list<Slot> r) { append(Row(r)); }
 
+    /**
+     * Replace the rows with @p rows NULL rows of @p width and return
+     * the slots, row-major, for writes in place (lanes may write
+     * disjoint slots concurrently); valid until the next append.
+     */
+    Slot *
+    assignNull(size_t rows, size_t width)
+    {
+        width_ = width;
+        count_ = rows;
+        slots_.assign(rows * width, storage::kNullSlot);
+        return slots_.data();
+    }
+
     /** Drop the last row. @pre !empty() */
     void
     popRow()

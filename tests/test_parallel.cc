@@ -13,7 +13,9 @@
  * GroupFold suite holds COUNT(*) GROUP BY to its Select sub-query
  * folded by hand, on every layout and thread count, and the SQL
  * COUNT(*), which reads only its grouping column, to the paper
- * template's SELECT * digest.
+ * template's SELECT * digest.  The JoinAndAnyEq suite holds the
+ * timing path's `= ANY` kernels, sorted-build join and partition-split
+ * SELECT * to the traced (SimTracer) loops they replace.
  *
  * Scale comes from DVP_TEST_DOCS (default 4000) so the ThreadSanitizer
  * build can dial it down without editing the test.
@@ -21,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <thread>
@@ -32,6 +35,7 @@
 #include "engine/database.hh"
 #include "engine/executor.hh"
 #include "engine/query.hh"
+#include "engine/query_stats.hh"
 #include "hyrise/hyrise_layouter.hh"
 #include "nobench/generator.hh"
 #include "nobench/queries.hh"
@@ -195,6 +199,34 @@ TEST(MorselExecution, ThreadCountAboveLaneCountClamps)
     exec.setMorselRows(64);
     expectSame(exec.run(w.queries[nobench::kQ1]),
                w.row_ref[nobench::kQ1]);
+}
+
+TEST(MorselExecution, SmallScansStayOnTheCaller)
+{
+    // A column-predicate scan scatters only once the blocks its zone
+    // maps keep hold a morsel of rows per lane.  With 1100-row morsels
+    // at 3 lanes (3300 rows), Q5 (str1 = one value: one surviving
+    // block) stays serial, with the serial block counters, while Q6
+    // (num BETWEEN: no block skipped) still scatters.  (Q6's morsels
+    // split blocks, so only its row counter is morsel-independent.)
+    ParallelWorld &w = world();
+    Database copy(w.data, w.row->layout(), "row");
+    for (auto [qi, scatters] : {std::pair{nobench::kQ5, false},
+                                std::pair{nobench::kQ6, true}}) {
+        const Query &q = w.queries[qi];
+        SCOPED_TRACE(q.name);
+        engine::QueryStats serial, three;
+        Executor one(copy, 1), par(copy, 3);
+        one.setMorselRows(1100);
+        par.setMorselRows(1100);
+        expectSame(par.run(q, &three), one.run(q, &serial));
+        EXPECT_EQ(three.morsels > 0, scatters && testDocs() >= 3300);
+        EXPECT_EQ(three.rowsScanned, serial.rowsScanned);
+        if (!scatters) {
+            EXPECT_EQ(three.blocksScanned, serial.blocksScanned);
+            EXPECT_EQ(three.blocksSkipped, serial.blocksSkipped);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -493,6 +525,152 @@ TEST(AdaptiveParallel, ConcurrentExecuteWithBackgroundRepartition)
 
     // Detections are recorded synchronously and never undone.
     EXPECT_GE(eng.adaptation().changesDetected, 1u);
+}
+
+// ---------------------------------------------------------------------
+// `= ANY` and the self-join on the timing path: the batched ANY
+// kernels, the sorted-build join with its cursor materialize and the
+// partition-split SELECT * must return, slot for slot, what the traced
+// row-at-a-time loops return; their work counters must not depend on
+// the lane count.
+// ---------------------------------------------------------------------
+
+/**
+ * Q8 and Q11 as templates and as SQL, a join whose build side repeats
+ * keys, and an ANY in which one row matches two array columns.
+ */
+std::vector<Query>
+joinAndAnyQueries(const ParallelWorld &w)
+{
+    const storage::Catalog &cat = w.data.catalog;
+    std::vector<Query> out = {w.queries[nobench::kQ8],
+                              w.queries[nobench::kQ11]};
+
+    // The first document whose array holds one value twice; without
+    // one (small DVP_TEST_DOCS) the ANY lists nested_arr[0] twice.
+    Query twice = w.queries[nobench::kQ8];
+    twice.name = "any-two-columns";
+    bool found = false;
+    for (const storage::Document &d : w.data.docs) {
+        std::map<storage::Slot, int> seen;
+        for (storage::AttrId a : twice.cond.anyAttrs) {
+            storage::Slot s = d.slotOf(a);
+            if (!storage::isNull(s) && ++seen[s] == 2) {
+                twice.cond.lo = s;
+                found = true;
+            }
+        }
+        if (found)
+            break;
+    }
+    if (!found) {
+        twice.cond.anyAttrs.push_back(twice.cond.anyAttrs.front());
+        twice.cond.lo = w.data.docs.front().slotOf(
+            twice.cond.anyAttrs.front());
+    }
+    out.push_back(twice);
+
+    Query dup = w.queries[nobench::kQ11];
+    dup.name = "join-duplicate-keys";
+    dup.joinLeftAttr = cat.find("thousandth");
+    dup.joinRightAttr = cat.find("thousandth");
+    dup.cond.lo = 0;
+    dup.cond.hi = 99999;
+    out.push_back(dup);
+
+    // The SQL forms, on a literal the data holds.
+    storage::Slot lit = w.queries[nobench::kQ8].cond.lo;
+    for (const storage::Document &d : w.data.docs) {
+        lit = d.slotOf(cat.find("nested_arr[0]"));
+        if (!storage::isNull(lit))
+            break;
+    }
+    const std::string arr =
+        w.data.dict.text(storage::decodeString(lit));
+    for (const std::string &text :
+         {"SELECT sparse_330, num FROM t WHERE '" + arr +
+              "' = ANY nested_arr",
+          std::string("SELECT * FROM t AS l INNER JOIN t AS r "
+                      "ON l.nested_obj.str = r.str1 "
+                      "WHERE l.num BETWEEN 0 AND 199999")}) {
+        sql::ParseResult r = sql::parse(text, w.data);
+        EXPECT_TRUE(r.ok) << r.error;
+        r.query.name = text;
+        out.push_back(r.query);
+    }
+    return out;
+}
+
+/** The counters no lane count or morsel size may move. */
+void
+expectSameWork(const engine::QueryStats &got,
+               const engine::QueryStats &ref, bool blocks)
+{
+    EXPECT_EQ(got.rowsScanned, ref.rowsScanned);
+    EXPECT_EQ(got.partitionTouches, ref.partitionTouches);
+    EXPECT_EQ(got.matches, ref.matches);
+    EXPECT_EQ(got.rowsOut, ref.rowsOut);
+    if (!blocks)
+        return;
+    EXPECT_EQ(got.blocksScanned, ref.blocksScanned);
+    EXPECT_EQ(got.blocksSkipped, ref.blocksSkipped);
+    for (size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(got.compressedEval[i], ref.compressedEval[i]);
+}
+
+TEST(JoinAndAnyEq, TimingPathEqualsTheTracedLoopsOnEveryLayout)
+{
+    ParallelWorld &w = world();
+    GroupFoldWorld &g = groupWorld();
+    std::vector<Query> queries = joinAndAnyQueries(w);
+
+    // The shapes the suite is about actually occur.
+    ResultSet dup = Executor(*w.row).run(queries[3]);
+    std::map<int64_t, int> per_right;
+    for (auto row : dup.rows)
+        ++per_right[row[1]];
+    EXPECT_TRUE(std::any_of(per_right.begin(), per_right.end(),
+                            [](const auto &e) { return e.second > 1; }));
+    for (const Query &q : queries)
+        EXPECT_GT(Executor(*w.row).run(q).rowCount(), 0u) << q.name;
+
+    for (const auto &[name, db] : g.partitioned) {
+        for (const Query &q : queries) {
+            // The oracle: the traced loops on the plain layout.
+            perf::MemoryHierarchy mh;
+            ResultSet oracle =
+                Executor(*const_cast<Database *>(db)).run(q, mh);
+            for (bool compress : {false, true}) {
+                Database copy(w.data, db->layout(), name, nullptr,
+                              compress);
+                for (size_t morsel : {size_t{64}, size_t{0}}) {
+                    engine::QueryStats base;
+                    for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+                        SCOPED_TRACE(name +
+                                     (compress ? " compressed " : " ") +
+                                     q.name + " morsel=" +
+                                     std::to_string(morsel) +
+                                     " threads=" +
+                                     std::to_string(threads));
+                        Executor exec(copy, threads);
+                        exec.setMorselRows(morsel);
+                        engine::QueryStats st;
+                        expectSame(exec.run(q, &st), oracle);
+                        if (threads == 1) {
+                            base = st;
+                            continue;
+                        }
+                        // Sub-block morsels of a column predicate (the
+                        // join's WHERE) count a block once per morsel;
+                        // the ANY's whole-block morsels never do.
+                        expectSameWork(
+                            st, base,
+                            morsel == 0 || q.kind != engine::QueryKind::Join);
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

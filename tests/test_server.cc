@@ -873,7 +873,8 @@ class ScriptedPeer
             std::string hello = net::encodeFrame(net::FrameType::HelloOk,
                                                  encodeHelloOk(ok));
             net::sendAll(c, hello.data(), hello.size());
-            if (next() && f.type == net::FrameType::Query)
+            if (next() && (f.type == net::FrameType::Query ||
+                           f.type == net::FrameType::Stats))
                 net::sendAll(c, reply.data(), reply.size());
         }
         net::closeFd(c);
@@ -895,6 +896,19 @@ answerTo(const std::string &reply)
     client::Result r = c.query("SELECT str1 FROM t");
     c.close();
     return r;
+}
+
+/** The stats() a client gets back from a peer answering @p reply. */
+client::Stats
+statsAnswerTo(const std::string &reply)
+{
+    ScriptedPeer peer(reply);
+    client::Client c;
+    std::string err = c.connect("127.0.0.1", peer.port, "unit");
+    EXPECT_EQ(err, "");
+    client::Stats s = c.stats();
+    c.close();
+    return s;
 }
 
 /** A valid one-row RESULT frame. */
@@ -967,6 +981,79 @@ TEST(ClientErrors, ServerClosingMidResponseIsConnectionLost)
         EXPECT_FALSE(r.ok);
         EXPECT_EQ(r.errorCode, net::ErrorCode::ConnectionLost)
             << "cut at " << cut << ": " << r.error;
+    }
+}
+
+TEST(ClientErrors, StatsNotConnectedIsConnectionLost)
+{
+    client::Client c;
+    client::Stats s = c.stats();
+    EXPECT_FALSE(s.ok);
+    EXPECT_EQ(s.code, net::ErrorCode::ConnectionLost);
+    EXPECT_STREQ(net::errorCodeName(s.code), "CONNECTION_LOST");
+}
+
+TEST(ClientErrors, StatsAnswerAndServerErrorCode)
+{
+    net::StatsBody body;
+    body.entries = {{"docs", 42}};
+    client::Stats ok = statsAnswerTo(net::encodeFrame(
+        net::FrameType::StatsResult, net::encodeStats(body)));
+    ASSERT_TRUE(ok.ok) << ok.error;
+    EXPECT_EQ(ok.code, net::ErrorCode::None);
+    EXPECT_EQ(ok.get("docs"), 42u);
+
+    // An ERROR frame carries the server's own code.
+    net::ErrorBody e;
+    e.code = net::ErrorCode::ShuttingDown;
+    e.message = "draining";
+    client::Stats s = statsAnswerTo(
+        net::encodeFrame(net::FrameType::Error, encodeError(e)));
+    EXPECT_FALSE(s.ok);
+    EXPECT_EQ(s.code, net::ErrorCode::ShuttingDown);
+    EXPECT_EQ(s.error, "draining");
+}
+
+TEST(ClientErrors, StatsMalformedOrUnexpectedFrameIsProtocol)
+{
+    // A RESULT where STATS_RESULT belongs.
+    client::Stats wrong = statsAnswerTo(oneRowFrame());
+    EXPECT_FALSE(wrong.ok);
+    EXPECT_EQ(wrong.code, net::ErrorCode::Protocol) << wrong.error;
+    EXPECT_NE(wrong.error.find("RESULT"), std::string::npos);
+
+    // A STATS_RESULT whose body does not decode.
+    client::Stats bad = statsAnswerTo(
+        net::encodeFrame(net::FrameType::StatsResult, "\x05"));
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.code, net::ErrorCode::Protocol) << bad.error;
+    EXPECT_NE(bad.error.find("malformed STATS_RESULT"),
+              std::string::npos);
+
+    // A malformed ERROR frame.
+    client::Stats err = statsAnswerTo(
+        net::encodeFrame(net::FrameType::Error, ""));
+    EXPECT_FALSE(err.ok);
+    EXPECT_EQ(err.code, net::ErrorCode::Protocol) << err.error;
+
+    // A frame whose CRC does not check.
+    std::string frame = net::encodeFrame(net::FrameType::StatsResult,
+                                         net::encodeStats(net::StatsBody{}));
+    frame.back() = static_cast<char>(frame.back() ^ 0x40);
+    client::Stats crc = statsAnswerTo(frame);
+    EXPECT_FALSE(crc.ok);
+    EXPECT_EQ(crc.code, net::ErrorCode::Protocol) << crc.error;
+}
+
+TEST(ClientErrors, StatsServerClosingMidResponseIsConnectionLost)
+{
+    std::string good = net::encodeFrame(
+        net::FrameType::StatsResult, net::encodeStats(net::StatsBody{}));
+    for (size_t cut : {size_t{0}, size_t{7}, good.size() - 1}) {
+        client::Stats s = statsAnswerTo(good.substr(0, cut));
+        EXPECT_FALSE(s.ok);
+        EXPECT_EQ(s.code, net::ErrorCode::ConnectionLost)
+            << "cut at " << cut << ": " << s.error;
     }
 }
 
