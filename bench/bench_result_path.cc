@@ -125,8 +125,8 @@ runOnce(adaptive::AdaptiveEngine &eng, const engine::DataSet &data,
     meta.checksum = r->rows.checksum;
     std::string frame;
     t = Clock::now();
-    if (!server::encodeRowResult(meta, r->rows, data, net::kFeatureTrace,
-                                 net::kMaxPayload, frame))
+    if (!server::encodeRowResult(meta, r->rows, data, net::kMaxPayload,
+                                 frame))
         fatal("%s: result too large", sql);
     double encode_all = msSince(t);
     volatile uint32_t crc = net::crc32(frame.data() + net::kHeaderBytes,

@@ -19,9 +19,9 @@
  * with --json, as NDJSON metric records.
  *
  * --obs-overhead runs the closed loop twice against one server —
- * first with the full observability surface off (legacy level-1
- * clients, span tracer disabled), then with it on (trace-id TLVs on
- * every query, tracer enabled) — and asserts the traced run keeps
+ * first with the full observability surface off (no trace ids, span
+ * tracer disabled), then with it on (trace-id TLVs on every query,
+ * tracer enabled) — and asserts the traced run keeps
  * within --max-overhead-pct (default 5%) of the untraced QPS.
  */
 
@@ -39,7 +39,6 @@
 #include "adaptive/adaptive_engine.hh"
 #include "client/client.hh"
 #include "harness.hh"
-#include "net/wire.hh"
 #include "obs/trace.hh"
 #include "server/server.hh"
 
@@ -88,9 +87,8 @@ struct WorkerResult
 /** How the load generator's connections exercise observability. */
 enum class ClientObs
 {
-    Default, ///< negotiated feature level, no trace ids
-    Legacy,  ///< level-1 handshake: pre-TLV wire format
-    Traced,  ///< level 2 + a distinct trace id per connection
+    Default, ///< no trace ids
+    Traced,  ///< a distinct trace id per connection
 };
 
 /** One timed load: aggregated worker results + wall seconds. */
@@ -122,9 +120,7 @@ driveLoad(uint16_t port, size_t connections, double duration,
         workers.emplace_back([&, w] {
             WorkerResult &res = results[w];
             client::Client c;
-            if (obs == ClientObs::Legacy)
-                c.setMaxFeatureLevel(net::kFeatureBase);
-            else if (obs == ClientObs::Traced)
+            if (obs == ClientObs::Traced)
                 c.setTraceId(0x7ace000000000000ull + w + 1);
             if (!c.connect("127.0.0.1", port, "bench").empty()) {
                 ++res.errors;
@@ -298,10 +294,10 @@ main(int argc, char **argv)
         // observability surface off, then on.  Off first so the traced
         // run inherits (not pays for) warmed caches.
         driveLoad(port, connections, std::min(duration, 1.0), "closed",
-                  rate, ClientObs::Legacy); // warmup
+                  rate, ClientObs::Default); // warmup
         obs::Tracer::global().disable();
         LoadResult off = driveLoad(port, connections, duration,
-                                   "closed", rate, ClientObs::Legacy);
+                                   "closed", rate, ClientObs::Default);
         obs::Tracer::global().enable();
         LoadResult on = driveLoad(port, connections, duration,
                                   "closed", rate, ClientObs::Traced);

@@ -2,7 +2,7 @@
  * dvp_client — command-line client for a running dvpd server.
  *
  *   dvp_client [--host H] [--port P] [--stats] [--trace-id HEX]
- *              [--legacy] [--exec FILE|-] [SQL ...]
+ *              [--exec FILE|-] [SQL ...]
  *
  * Each positional argument is one SQL statement, executed in order on
  * a single connection; rows print as tab-separated text with a header.
@@ -14,10 +14,8 @@
  * --stats fetches and pretty-prints the server's counters after the
  * statements (or alone), grouping the adaptive-decision audit fields.
  * --trace-id attaches a client-chosen trace id to every statement
- * (echoed by the server and stamped into its span tracer).  --legacy
- * speaks feature level 1 — the pre-TLV wire encoding — for
- * compatibility smoke tests against new servers.  Exit status is
- * non-zero if any statement failed.
+ * (echoed by the server and stamped into its span tracer).  Exit
+ * status is non-zero if any statement failed.
  */
 
 #include <cstdio>
@@ -141,7 +139,6 @@ main(int argc, char **argv)
     std::string host = "127.0.0.1";
     uint16_t port = 7437;
     bool want_stats = false;
-    bool legacy = false;
     uint64_t trace_id = 0;
     std::string exec_path;
     std::vector<std::string> statements;
@@ -155,8 +152,6 @@ main(int argc, char **argv)
                 std::strtoul(argv[++i], nullptr, 10));
         else if (a == "--stats")
             want_stats = true;
-        else if (a == "--legacy")
-            legacy = true;
         else if (a == "--trace-id" && i + 1 < argc)
             trace_id = std::strtoull(argv[++i], nullptr, 16);
         else if (a == "--exec" && i + 1 < argc)
@@ -180,15 +175,13 @@ main(int argc, char **argv)
     if (statements.empty() && !want_stats) {
         std::fprintf(stderr,
                      "usage: %s [--host H] [--port P] [--stats] "
-                     "[--trace-id HEX] [--legacy] [--exec FILE|-] "
+                     "[--trace-id HEX] [--exec FILE|-] "
                      "\"SELECT ...\" ...\n",
                      argv[0]);
         return 2;
     }
 
     client::Client c;
-    if (legacy)
-        c.setMaxFeatureLevel(net::kFeatureBase);
     if (trace_id != 0)
         c.setTraceId(trace_id);
     std::string err = c.connect(host, port, "dvp_client");

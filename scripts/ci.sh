@@ -273,8 +273,8 @@ echo "=== request-scoped observability ==="
 # dvpd with the HTTP scrape endpoint and slow-query log: /metrics and
 # /healthz must answer with valid Prometheus text, a traced join must
 # leave a parseable NDJSON slow-query record, EXPLAIN ANALYZE must
-# render over the wire, and a pre-TLV (level-1) client must complete
-# queries unchanged.
+# render over the wire, and a level-1 HELLO must be refused with a
+# typed PROTOCOL_ERROR.
 ./build-ci/examples/dvpd --gen 2000 --port 0 \
     --port-file "$OBS_TMP/dvpd2.port" \
     --http-port 0 --http-port-file "$OBS_TMP/http.port" \
@@ -296,9 +296,28 @@ for _ in $(seq 10); do
 done
 ./build-ci/examples/dvp_client --port "$DVPD_PORT" \
     "EXPLAIN ANALYZE SELECT str1, num FROM t" | grep -q "execution:"
-./build-ci/examples/dvp_client --port "$DVPD_PORT" --legacy --stats \
-    "SELECT str1, num FROM t" > "$OBS_TMP/legacy.out"
-grep -q "requests_total" "$OBS_TMP/legacy.out"
+# Feature level 1 is retired: a raw level-1 HELLO must come back as a
+# PROTOCOL_ERROR frame, and the next plain client must be served.
+python3 - "$DVPD_PORT" <<'EOF'
+import socket, struct, sys, zlib
+payload = struct.pack("<II", 1, 3) + b"old"
+head = struct.pack("<HBBIII", 0xD59A, 1, 1, len(payload),
+                   zlib.crc32(payload), 0)
+s = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=5)
+s.sendall(head + payload)
+buf = b""
+while len(buf) < 18:
+    chunk = s.recv(4096)
+    assert chunk, "server closed without an ERROR frame"
+    buf += chunk
+magic, _, ftype, _, _, _ = struct.unpack("<HBBIII", buf[:16])
+code = struct.unpack("<H", buf[16:18])[0]
+assert (magic, ftype, code) == (0xD59A, 5, 5), (magic, ftype, code)
+s.close()
+EOF
+./build-ci/examples/dvp_client --port "$DVPD_PORT" --stats \
+    "SELECT str1, num FROM t" > "$OBS_TMP/plain.out"
+grep -q "requests_total" "$OBS_TMP/plain.out"
 python3 - "$OBS_TMP" "$HTTP_PORT" "$DVPD_PORT" <<'EOF'
 import json, subprocess, sys, urllib.request
 tmp, port, dvpd_port = sys.argv[1], sys.argv[2], sys.argv[3]

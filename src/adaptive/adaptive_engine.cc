@@ -96,7 +96,6 @@ AdaptiveEngine::checkpointCut()
     // WAL position agree exactly: every logged record <= walLsn is in
     // the copy, nothing newer is.
     std::shared_lock<RwLock> lock(db_mutex);
-    auto dlock = data->readLock(); // lock order: db_mutex, then mu
     durability::CheckpointCut cut;
     cut.data = *data;
     cut.layout = db->layout();
@@ -302,7 +301,6 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
     std::unique_ptr<core::Partitioner> partitioner;
     {
         std::shared_lock<RwLock> lock(db_mutex);
-        auto dlock = data->readLock(); // lock order: db_mutex, then mu
         current_layout = db->layout();
         doc_snapshot = data->docs;
         partitioner = std::make_unique<core::Partitioner>(

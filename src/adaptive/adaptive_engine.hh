@@ -200,16 +200,17 @@ class AdaptiveEngine
 
     /**
      * The current Database (shared; stays alive across swaps).  Ingest
-     * grows it in place, so reading its tables or layout while ingest
-     * may run needs read() instead.
+     * grows it and its DataSet in place, so reading its tables, layout
+     * or data() while ingest may run needs read() instead.
      */
     std::shared_ptr<engine::Database> snapshot() const;
 
     /**
      * Run @p fn on the current Database under the shared engine lock:
-     * no ingest or swap runs until it returns.  EXPLAIN and STATS read
-     * the live layout this way.  @p fn must not call back into the
-     * engine (the lock is not recursive).
+     * no ingest or swap runs until it returns.  Everything that reads
+     * the live layout or DataSet beside ingest does it this way:
+     * statement parse, result encode, EXPLAIN and STATS.  @p fn must
+     * not call back into the engine (the lock is not recursive).
      */
     template <class Fn>
     auto
@@ -311,10 +312,13 @@ class AdaptiveEngine
     std::atomic<size_t> morsel_rows_{0};
 
     /**
-     * The engine lock.  Shared: a query's bind + run, EXPLAIN, STATS,
-     * checkpoint cuts.  Exclusive: an ingest batch (doc encode, table
-     * append, WAL log) and the repartition swap.  Lock order: db_mutex,
-     * then DataSet::mu, then detector_mutex.
+     * The engine lock.  Shared: a statement's parse, a query's bind +
+     * run, a result's encode, EXPLAIN, STATS, checkpoint cuts and the
+     * repartition's document copy.  Exclusive: an ingest batch (doc
+     * encode, table append, WAL log) and the repartition swap.  It is
+     * the only lock over the DataSet too: every writer of the catalog,
+     * dictionary and docs holds it exclusive.  Lock order: db_mutex,
+     * then detector_mutex.
      */
     mutable RwLock db_mutex;
     std::shared_ptr<engine::Database> db;

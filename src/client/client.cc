@@ -27,9 +27,6 @@ Client::Client(Client &&other) noexcept
     : fd(std::exchange(other.fd, -1)), in(std::move(other.in)),
       server_name(std::move(other.server_name)),
       session_id(std::exchange(other.session_id, 0)),
-      max_feature_level(other.max_feature_level),
-      feature_level(
-          std::exchange(other.feature_level, net::kFeatureBase)),
       trace_id(other.trace_id)
 {
 }
@@ -43,9 +40,6 @@ Client::operator=(Client &&other) noexcept
         in = std::move(other.in);
         server_name = std::move(other.server_name);
         session_id = std::exchange(other.session_id, 0);
-        max_feature_level = other.max_feature_level;
-        feature_level =
-            std::exchange(other.feature_level, net::kFeatureBase);
         trace_id = other.trace_id;
     }
     return *this;
@@ -65,7 +59,6 @@ Client::connect(const std::string &host, uint16_t port,
         return err;
 
     net::HelloBody hello;
-    hello.wireVersion = max_feature_level;
     hello.clientName = clientName;
     if (!sendFrame(net::FrameType::Hello, encodeHello(hello)))
         return "handshake send failed";
@@ -87,16 +80,13 @@ Client::connect(const std::string &host, uint16_t port,
         close();
         return "unexpected handshake response";
     }
-    // The server replies with the negotiated feature level: at most
-    // what we advertised, at least the base level.  Anything outside
-    // that window is a peer we cannot reason about.
-    if (ok.wireVersion < net::kFeatureBase ||
-        ok.wireVersion > max_feature_level) {
+    // The server replies with the one level this tree speaks; anything
+    // else is a peer we cannot reason about.
+    if (ok.wireVersion != net::kFeatureLevel) {
         close();
         return "server speaks wire version " +
                std::to_string(ok.wireVersion);
     }
-    feature_level = ok.wireVersion;
     server_name = ok.serverName;
     session_id = ok.sessionId;
     return "";
@@ -125,12 +115,9 @@ Client::query(const std::string &sql)
 
     net::QueryBody q;
     q.sql = sql;
-    if (trace_id != 0 && feature_level >= net::kFeatureTrace) {
-        q.hasTraceId = true;
-        q.traceId = trace_id;
-    }
-    if (!sendFrame(net::FrameType::Query,
-                   encodeQuery(q, feature_level)))
+    q.hasTraceId = trace_id != 0;
+    q.traceId = trace_id;
+    if (!sendFrame(net::FrameType::Query, encodeQuery(q)))
         return failed(ErrorCode::ConnectionLost,
                       "send failed (connection lost)");
 

@@ -55,8 +55,8 @@ struct Result
     uint64_t execNs = 0;   ///< server-side statement wall time
 
     /**
-     * Feature-level-2 extras (absent on level-1 sessions): the echoed
-     * request trace id and the server's per-operator summary in
+     * The TLV extras (see net/wire.hh): the echoed request trace id
+     * and the server's per-operator summary in
      * engine::QueryStats::summary() key order.
      */
     bool hasTraceId = false;
@@ -105,25 +105,11 @@ class Client
     /** Session id assigned by the server. */
     uint64_t sessionId() const { return session_id; }
 
-    /** Feature level negotiated in HELLO (see net/wire.hh). */
-    uint32_t featureLevel() const { return feature_level; }
-
     /**
-     * Cap the feature level advertised in HELLO.  Call before
-     * connect(); level 1 reproduces a pre-TLV client byte for byte
-     * (compat testing and talking to old servers).
-     */
-    void setMaxFeatureLevel(uint32_t level)
-    {
-        max_feature_level =
-            level < net::kFeatureBase ? net::kFeatureBase : level;
-    }
-
-    /**
-     * Trace id attached to every subsequent query (level-2 sessions);
-     * 0 clears it.  The server stamps it into its span tracer and
-     * echoes it in the RESULT, so one wire request can be correlated
-     * with the server-side trace dump.
+     * Trace id attached to every subsequent query; 0 clears it.  The
+     * server stamps it into its span tracer and echoes it in the
+     * RESULT, so one wire request can be correlated with the
+     * server-side trace dump.
      */
     void setTraceId(uint64_t id) { trace_id = id; }
     uint64_t traceId() const { return trace_id; }
@@ -148,8 +134,6 @@ class Client
     net::FrameAssembler in;
     std::string server_name;
     uint64_t session_id = 0;
-    uint32_t max_feature_level = net::kFeatureLevel;
-    uint32_t feature_level = net::kFeatureBase;
     uint64_t trace_id = 0;
 };
 

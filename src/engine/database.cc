@@ -12,7 +12,6 @@ namespace dvp::engine
 int64_t
 DataSet::addObject(const json::JsonValue &doc)
 {
-    std::unique_lock<std::shared_mutex> g(mu);
     storage::Encoder enc(catalog, dict);
     // Not addFlat(json::flatten(doc)): that keeps the flattened copy
     // alive across the push_back, which moves later heap blocks and
@@ -26,7 +25,6 @@ DataSet::addObject(const json::JsonValue &doc)
 int64_t
 DataSet::addFlat(const std::vector<json::FlatAttr> &flat)
 {
-    std::unique_lock<std::shared_mutex> g(mu);
     storage::Encoder enc(catalog, dict);
     storage::Document d = enc.encode(flat);
     d.oid = static_cast<int64_t>(docs.size());

@@ -14,7 +14,6 @@
 #define DVP_ENGINE_DATABASE_HH
 
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -31,61 +30,16 @@ namespace dvp::engine
 /**
  * Layout-independent data: catalog + dictionary + encoded documents.
  *
- * Live ingest makes the catalog, dictionary, and document vector grow
- * while other threads parse statements or decode result cells against
- * them, so DataSet carries its own reader/writer lock: addObject /
- * addFlat take it exclusively themselves; concurrent readers that walk
- * docs or resolve names/strings hold readLock() for the duration of
- * the walk.  Lock order: engine db_mutex before DataSet::mu — never
- * acquire db_mutex while holding a DataSet lock.
+ * A DataSet carries no lock.  Once an AdaptiveEngine serves it, every
+ * writer (ingest, which grows the catalog, dictionary and docs) holds
+ * the engine lock exclusive and every concurrent reader holds it
+ * shared (AdaptiveEngine::read); before that, one thread owns it.
  */
 struct DataSet
 {
     storage::Catalog catalog;
     storage::Dictionary dict;
     std::vector<storage::Document> docs;
-
-    /** Guards catalog/dict/docs growth against concurrent readers. */
-    mutable std::shared_mutex mu;
-
-    DataSet() = default;
-
-    /** Copies duplicate the data only; the lock is never shared. */
-    DataSet(const DataSet &o)
-        : catalog(o.catalog), dict(o.dict), docs(o.docs)
-    {
-    }
-
-    DataSet &
-    operator=(const DataSet &o)
-    {
-        catalog = o.catalog;
-        dict = o.dict;
-        docs = o.docs;
-        return *this;
-    }
-
-    /** Moves transfer the data only; each DataSet owns a fresh lock. */
-    DataSet(DataSet &&o) noexcept
-        : catalog(std::move(o.catalog)), dict(std::move(o.dict)),
-          docs(std::move(o.docs))
-    {
-    }
-
-    DataSet &
-    operator=(DataSet &&o) noexcept
-    {
-        catalog = std::move(o.catalog);
-        dict = std::move(o.dict);
-        docs = std::move(o.docs);
-        return *this;
-    }
-
-    /** Shared lock for readers sampling docs or resolving names. */
-    std::shared_lock<std::shared_mutex> readLock() const
-    {
-        return std::shared_lock<std::shared_mutex>(mu);
-    }
 
     /** Encode and append one JSON object; returns its oid. */
     int64_t addObject(const json::JsonValue &doc);

@@ -1284,9 +1284,11 @@ class Exec
      * run the dispatched batch kernel over the overlap and translate
      * the SelVec's in-batch indices to oids.  The match vector is
      * reserved from the surviving blocks' non-null counts, and
-     * obs_rows_scanned counts only scanned blocks' rows — both
-     * deterministic in the block partition, so counters stay identical
-     * across thread counts and morsel sizes.
+     * obs_rows_scanned counts only scanned blocks' rows.  A block is
+     * counted scanned or skipped (and its compressed eval path counted)
+     * only by the range that holds its first row, so a block split over
+     * several sub-block morsels still counts once: every counter stays
+     * identical across thread counts and morsel sizes.
      */
     std::vector<int64_t>
     condRangeVec(const Table &t, int col, const Condition &c, size_t r0,
@@ -1312,11 +1314,14 @@ class Exec
         matches.reserve(bound);
 
         for (size_t b = b0; b < b1; ++b) {
+            const bool first = b * kZoneRows >= r0;
             if (!kernels::zoneCanMatch(p, t.zone(b, ucol))) {
-                countBlock(true);
+                if (first)
+                    countBlock(true);
                 continue;
             }
-            countBlock(false);
+            if (first)
+                countBlock(false);
             size_t s0 = std::max(r0, b * kZoneRows);
             size_t s1 = std::min(r1, b * kZoneRows + t.blockRows(b));
             countRows(s1 - s0);
@@ -1332,8 +1337,10 @@ class Exec
                 kernels::CompressedPath path = kernels::evalColBlock(
                     cb, s0 - b * kZoneRows, s1 - b * kZoneRows, p,
                     t.zone(b, ucol), scratch_.data(), sel);
-                kernels::countCompressedEval(path);
-                ++obs_compressed[static_cast<size_t>(path)];
+                if (first) {
+                    kernels::countCompressedEval(path);
+                    ++obs_compressed[static_cast<size_t>(path)];
+                }
                 const storage::ColBlock &ob = t.sealedColumn(b, 0);
                 for (uint32_t i = 0; i < sel.n; ++i)
                     matches.push_back(storage::columnValue(
@@ -1501,10 +1508,6 @@ Executor::bound(const Query &q, std::shared_ptr<const PhysicalPlan> &keep,
                 PhysicalPlan &local, bool *cache_hit)
 {
     DVP_TRACE_SPAN(plan_span, "plan", q.name.c_str());
-    // Binding (and the cache's freshness check) reads the live catalog;
-    // a concurrent ingest grows it under the DataSet write lock, so
-    // take the matching read lock for the duration of the bind.
-    auto catalog_lock = db->data().readLock();
     if (plan_cache != nullptr) {
         keep = plan_cache->bind(*db, q, cache_hit);
         return keep.get();

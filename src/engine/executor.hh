@@ -55,6 +55,11 @@ namespace dvp::engine
  * fresh), by calling bindPlan() otherwise — then walks the bound
  * operators.  The cached hot path performs no catalog or attribute-
  * index lookups at all.
+ *
+ * An Executor takes no lock.  Binding reads the live catalog and a run
+ * reads the tables, so over a Database an AdaptiveEngine serves, the
+ * caller must keep writers out for the whole run (the engine lock held
+ * shared, as AdaptiveEngine::execute and EXPLAIN do).
  */
 class Executor
 {

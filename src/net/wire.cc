@@ -243,11 +243,11 @@ readTlvs(Reader &r, Fn handle)
 } // namespace
 
 std::string
-encodeQuery(const QueryBody &b, uint32_t level)
+encodeQuery(const QueryBody &b)
 {
     Writer w;
     w.str(b.sql);
-    if (level >= kFeatureTrace && b.hasTraceId) {
+    if (b.hasTraceId) {
         Writer v;
         v.u64(b.traceId);
         putTlv(w, kExtTraceId, v.bytes());
@@ -306,26 +306,24 @@ ResultWriter::ResultWriter(const ResultBody &head, uint32_t nrows)
 }
 
 std::string
-ResultWriter::finish(uint64_t digest, uint32_t level)
+ResultWriter::finish(uint64_t digest)
 {
     w.u64(digest);
     w.u64(head.checksum);
     w.u64(head.execNs);
-    if (level >= kFeatureTrace) {
-        if (head.hasTraceId) {
-            Writer v;
-            v.u64(head.traceId);
-            putTlv(w, kExtTraceId, v.bytes());
+    if (head.hasTraceId) {
+        Writer v;
+        v.u64(head.traceId);
+        putTlv(w, kExtTraceId, v.bytes());
+    }
+    if (!head.opStats.empty()) {
+        Writer v;
+        v.u32(static_cast<uint32_t>(head.opStats.size()));
+        for (const auto &[key, value] : head.opStats) {
+            v.str(key);
+            v.u64(value);
         }
-        if (!head.opStats.empty()) {
-            Writer v;
-            v.u32(static_cast<uint32_t>(head.opStats.size()));
-            for (const auto &[key, value] : head.opStats) {
-                v.str(key);
-                v.u64(value);
-            }
-            putTlv(w, kExtOpStats, v.bytes());
-        }
+        putTlv(w, kExtOpStats, v.bytes());
     }
     std::string frame = w.take();
     sealFrame(frame, FrameType::Result);

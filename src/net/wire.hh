@@ -25,17 +25,14 @@
  * pushes ERROR frames for protocol violations and typed rejections
  * (SERVER_BUSY, SHUTTING_DOWN) — see server.hh for the session rules.
  *
- * Feature levels: the header version byte stays kWireVersion — body
- * decoders require exact payload consumption, so new fields cannot be
- * appended unconditionally.  Instead the HELLO exchange negotiates a
- * *feature level*: the client advertises the highest level it speaks in
- * HelloBody::wireVersion, the server replies min(client, kFeatureLevel)
- * in HelloOkBody::wireVersion, and both sides emit the extra encoding
- * only at the agreed level.  At kFeatureTrace (2), QUERY and RESULT
- * bodies append a TLV extension block after the fixed fields — u8 tag +
- * u32 length + value per entry; decoders skip unknown tags, so later
- * levels can add tags without renegotiating.  Level-1 peers never see
- * TLV bytes and their frames decode unchanged.
+ * Feature level: the header version byte stays kWireVersion; the HELLO
+ * exchange carries a *feature level* instead.  The client advertises
+ * the highest level it speaks in HelloBody::wireVersion, and the server
+ * refuses anything below kFeatureLevel (2) with PROTOCOL_ERROR and
+ * replies kFeatureLevel in HelloOkBody::wireVersion.  At level 2, QUERY
+ * and RESULT bodies append a TLV extension block after the fixed
+ * fields — u8 tag + u32 length + value per entry; decoders skip
+ * unknown tags, so later levels can add tags without renegotiating.
  */
 
 #ifndef DVP_NET_WIRE_HH
@@ -54,14 +51,10 @@ namespace dvp::net
 constexpr uint8_t kWireVersion = 1;
 
 /**
- * Feature levels negotiated in the HELLO exchange (see the file
- * comment).  kFeatureTrace adds trace-id and operator-summary TLVs to
- * QUERY/RESULT bodies; kFeatureLevel is the highest level this tree
- * speaks.
+ * The one feature level this tree speaks (see the file comment): QUERY
+ * and RESULT bodies carry the trace-id and operator-summary TLVs.
  */
-constexpr uint32_t kFeatureBase = 1;
-constexpr uint32_t kFeatureTrace = 2;
-constexpr uint32_t kFeatureLevel = kFeatureTrace;
+constexpr uint32_t kFeatureLevel = 2;
 
 /** TLV tags of the QUERY/RESULT extension block. */
 constexpr uint8_t kExtTraceId = 1; ///< u64 client-chosen trace id
@@ -313,19 +306,19 @@ class FrameAssembler
 /** HELLO: client introduces itself. */
 struct HelloBody
 {
-    uint32_t wireVersion = kWireVersion;
+    uint32_t wireVersion = kFeatureLevel;
     std::string clientName;
 };
 
 /** HELLO_OK: server accepts the session. */
 struct HelloOkBody
 {
-    uint32_t wireVersion = kWireVersion;
+    uint32_t wireVersion = kFeatureLevel;
     std::string serverName;
     uint64_t sessionId = 0;
 };
 
-/** QUERY: one SQL statement (+ optional trace-id TLV at level >= 2). */
+/** QUERY: one SQL statement (+ optional trace-id TLV). */
 struct QueryBody
 {
     std::string sql;
@@ -370,7 +363,7 @@ struct ResultBody
     uint64_t checksum = 0;
     uint64_t execNs = 0;
 
-    /** Level >= 2 TLVs: trace-id echo + per-operator summary. */
+    /** TLVs: trace-id echo + per-operator summary. */
     bool hasTraceId = false;
     uint64_t traceId = 0;
     std::vector<std::pair<std::string, uint64_t>> opStats;
@@ -490,15 +483,8 @@ bool decodeHello(const std::string &payload, HelloBody &out);
 std::string encodeHelloOk(const HelloOkBody &b);
 bool decodeHelloOk(const std::string &payload, HelloOkBody &out);
 
-/**
- * QUERY/RESULT codecs take the session's negotiated feature level:
- * encoders emit the TLV extension block only at kFeatureTrace or
- * later (level-1 output is byte-identical to the pre-TLV encoding);
- * decoders accept TLVs regardless, so a mixed-level pipe fails only
- * in the direction that actually matters (old decoder, new bytes).
- */
-std::string encodeQuery(const QueryBody &b,
-                        uint32_t level = kFeatureBase);
+/** QUERY codec; the trace id travels as a TLV (see the file comment). */
+std::string encodeQuery(const QueryBody &b);
 bool decodeQuery(const std::string &payload, QueryBody &out);
 
 std::string encodeError(const ErrorBody &b);
@@ -509,9 +495,9 @@ bool decodeError(const std::string &payload, ErrorBody &out);
  * header and writes the payload head (kind, message, columns, oids,
  * then the row count); each row is then row(ncells) followed by
  * exactly ncells cell calls; finish() appends the trailer (digest,
- * checksum, execNs, and at kFeatureTrace the TLVs), fills in the
- * header and returns the whole frame, so the payload is never copied
- * into a second buffer.  The server feeds it result slots directly,
+ * checksum, execNs, then the TLVs), fills in the header and returns
+ * the whole frame, so the payload is never copied into a second
+ * buffer.  The server feeds it result slots directly,
  * so no per-cell object is built on the way out.  @p head must
  * outlive the writer; its digest is not read (finish() takes it).
  */
@@ -544,7 +530,7 @@ class ResultWriter
     size_t size() const { return w.size() - kHeaderBytes; }
 
     /** The complete RESULT frame. */
-    std::string finish(uint64_t digest, uint32_t level);
+    std::string finish(uint64_t digest);
 
   private:
     const ResultBody &head;

@@ -251,8 +251,8 @@ deserialize(const std::string &bytes)
     auto fail = [&](const std::string &msg) {
         out.ok = false;
         out.error = r.error().empty() ? msg : r.error();
-        // DataSet is move-only now (it owns a shared_mutex), so the
-        // captured result must be moved out, not copied.
+        // Move the captured result out: a copy would duplicate the
+        // whole data set.
         return std::move(out);
     };
 

@@ -75,9 +75,6 @@ struct Server::Session
     uint64_t id = 0;
     net::FrameAssembler in;
     bool helloDone = false;
-
-    /** Negotiated feature level (min of both sides; see wire.hh). */
-    uint32_t featureLevel = net::kFeatureBase;
     int64_t lastActivityMs = 0;
     std::atomic<bool> dead{false};
     std::mutex write_mu;
@@ -114,8 +111,8 @@ struct Server::Session
 
 bool
 encodeRowResult(const net::ResultBody &meta, const engine::ResultSet &rs,
-                const engine::DataSet &data, uint32_t level,
-                size_t maxBytes, std::string &out)
+                const engine::DataSet &data, size_t maxBytes,
+                std::string &out)
 {
     // Every row costs at least its u32 cell count, so this also keeps
     // the row count inside the u32 the head carries.
@@ -124,24 +121,20 @@ encodeRowResult(const net::ResultBody &meta, const engine::ResultSet &rs,
     net::ResultWriter w(meta, static_cast<uint32_t>(rs.rows.size()));
     // Every row takes at least its cell count and a byte per cell.
     w.reserve(std::min(rs.rows.size() * (4 + rs.rows.width()), maxBytes));
-    {
-        // A concurrent INSERT or LOAD grows the dictionary.
-        auto lock = data.readLock();
-        for (engine::ResultRows::Row row : rs.rows) {
-            w.row(static_cast<uint32_t>(row.size()));
-            for (storage::Slot s : row) {
-                if (storage::isNull(s))
-                    w.null();
-                else if (storage::isStringSlot(s))
-                    w.text(data.dict.text(storage::decodeString(s)));
-                else
-                    w.integer(s);
-            }
-            if (w.size() > maxBytes)
-                return false;
+    for (engine::ResultRows::Row row : rs.rows) {
+        w.row(static_cast<uint32_t>(row.size()));
+        for (storage::Slot s : row) {
+            if (storage::isNull(s))
+                w.null();
+            else if (storage::isStringSlot(s))
+                w.text(data.dict.text(storage::decodeString(s)));
+            else
+                w.integer(s);
         }
+        if (w.size() > maxBytes)
+            return false;
     }
-    out = w.finish(rs.digest(), level);
+    out = w.finish(rs.digest());
     return out.size() - net::kHeaderBytes <= maxBytes;
 }
 
@@ -447,7 +440,7 @@ Server::handleFrame(const std::shared_ptr<Session> &s,
             closeSession(s);
             return;
         }
-        if (hello.wireVersion < net::kFeatureBase) {
+        if (hello.wireVersion < net::kFeatureLevel) {
             s->writeError(net::ErrorCode::Protocol,
                           "unsupported wire version " +
                               std::to_string(hello.wireVersion));
@@ -455,13 +448,7 @@ Server::handleFrame(const std::shared_ptr<Session> &s,
             return;
         }
         s->helloDone = true;
-        // Negotiate down to the highest level both sides speak; a
-        // pre-TLV client (level 1) gets level-1 frames, byte-identical
-        // to the old encoding.
-        s->featureLevel =
-            std::min(hello.wireVersion, net::kFeatureLevel);
         net::HelloOkBody ok;
-        ok.wireVersion = s->featureLevel;
         ok.serverName = cfg.name;
         ok.sessionId = s->id;
         s->writeFrame(net::FrameType::HelloOk, encodeHelloOk(ok));
@@ -749,9 +736,7 @@ Server::executeTask(Task &task)
     } else {
         net::ResultBody body;
         body.execNs = static_cast<uint64_t>(r.seconds * 1e9);
-        // Level-2 extras: echo the trace id and ship the per-operator
-        // summary.  The ResultWriter drops both on level-1 sessions, so
-        // a pre-TLV client still decodes the frame unchanged.
+        // Echo the trace id and ship the per-operator summary.
         body.hasTraceId = task.hasTraceId;
         body.traceId = task.traceId;
         if (r.hasStats)
@@ -759,21 +744,18 @@ Server::executeTask(Task &task)
         if (r.kind == sql::RunResult::Kind::Message) {
             body.kind = net::ResultBody::Kind::Message;
             body.message = r.message;
-            frame = net::ResultWriter(body, 0).finish(
-                0, task.session->featureLevel);
+            frame = net::ResultWriter(body, 0).finish(0);
         } else {
-            const engine::DataSet &data = engine->snapshot()->data();
-            {
-                // Catalog names can reallocate under concurrent
-                // ingest; resolve headers under the read lock.
-                auto lock = data.readLock();
-                body.columns = sql::resultColumns(data, r.query);
-            }
             body.oids = std::move(r.rows.oids);
             body.checksum = r.rows.checksum;
-            if (!encodeRowResult(body, r.rows, data,
-                                 task.session->featureLevel,
-                                 net::kMaxPayload, frame))
+            // Headers and string cells resolve against the catalog and
+            // dictionary a concurrent INSERT grows.
+            bool fits = engine->read([&](const engine::Database &db) {
+                body.columns = sql::resultColumns(db.data(), r.query);
+                return encodeRowResult(body, r.rows, db.data(),
+                                       net::kMaxPayload, frame);
+            });
+            if (!fits)
                 error(net::ErrorCode::ResultTooLarge,
                       "result exceeds the " +
                           std::to_string(net::kMaxPayload) +

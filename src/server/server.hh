@@ -106,9 +106,11 @@ struct Config
 /**
  * The RESULT frame of a row result, with every row written straight
  * from @p rs's flat slots into a net::ResultWriter: string ids resolve
- * through @p data's dictionary under its read lock, and no per-cell
- * object is built.  @p meta supplies every field but the rows and the
- * digest, which is rs.digest(), taken only once the rows fit.
+ * through @p data's dictionary, and no per-cell object is built.  A
+ * served @p data needs the engine lock held shared around the call
+ * (AdaptiveEngine::read), since ingest grows the dictionary.  @p meta
+ * supplies every field but the rows and the digest, which is
+ * rs.digest(), taken only once the rows fit.
  *
  * Returns false as soon as the payload passes @p maxBytes (the
  * server passes net::kMaxPayload; @p out is then unspecified), so an
@@ -116,8 +118,8 @@ struct Config
  */
 bool encodeRowResult(const net::ResultBody &meta,
                      const engine::ResultSet &rs,
-                     const engine::DataSet &data, uint32_t level,
-                     size_t maxBytes, std::string &out);
+                     const engine::DataSet &data, size_t maxBytes,
+                     std::string &out);
 
 /** The server.  One instance serves one AdaptiveEngine. */
 class Server

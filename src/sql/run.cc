@@ -90,16 +90,11 @@ runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
              bool allowLoad, bool allowInsert)
 {
     RunResult res;
-    const engine::DataSet &data = eng.snapshot()->data();
-
-    ParseResult parsed;
-    {
-        // Parsing resolves names against the live catalog/dictionary,
-        // which a concurrent INSERT grows: hold the DataSet read lock
-        // for the duration.
-        auto lock = data.readLock();
-        parsed = parse(text, data);
-    }
+    // Parsing resolves names against the live catalog and dictionary
+    // and samples docs, all of which a concurrent INSERT grows.
+    ParseResult parsed = eng.read([&](const engine::Database &db) {
+        return parse(text, db.data());
+    });
     if (!parsed.ok) {
         res.errorKind = RunResult::Error::Parse;
         res.error = parsed.error;

@@ -361,14 +361,14 @@ TEST(AnalyzeAudit, InitialDecisionAndRepartitionAreAudited)
 // Wire TLV extensions.
 // ---------------------------------------------------------------------
 
-TEST(AnalyzeWire, QueryTraceIdRoundTripsAtFeatureTrace)
+TEST(AnalyzeWire, QueryTraceIdRoundTrips)
 {
     net::QueryBody q;
     q.sql = "SELECT num FROM t";
     q.hasTraceId = true;
     q.traceId = 0xdeadbeefcafe1234ull;
 
-    std::string enc = net::encodeQuery(q, net::kFeatureTrace);
+    std::string enc = net::encodeQuery(q);
     net::QueryBody out;
     ASSERT_TRUE(net::decodeQuery(enc, out));
     EXPECT_EQ(out.sql, q.sql);
@@ -376,28 +376,7 @@ TEST(AnalyzeWire, QueryTraceIdRoundTripsAtFeatureTrace)
     EXPECT_EQ(out.traceId, q.traceId);
 }
 
-TEST(AnalyzeWire, BaseLevelEncodingIsLegacyByteIdentical)
-{
-    // A level-1 encode must be byte-identical to a pre-TLV client's
-    // frame even when the caller set a trace id, so old servers (which
-    // require the body exhausted) keep accepting it.
-    net::QueryBody legacy;
-    legacy.sql = "SELECT num FROM t";
-    std::string legacy_bytes =
-        net::encodeQuery(legacy, net::kFeatureBase);
-
-    net::QueryBody traced = legacy;
-    traced.hasTraceId = true;
-    traced.traceId = 42;
-    EXPECT_EQ(net::encodeQuery(traced, net::kFeatureBase),
-              legacy_bytes);
-
-    net::QueryBody out;
-    ASSERT_TRUE(net::decodeQuery(legacy_bytes, out));
-    EXPECT_FALSE(out.hasTraceId);
-}
-
-TEST(AnalyzeWire, ResultExtrasRoundTripAndDegrade)
+TEST(AnalyzeWire, ResultExtrasRoundTrip)
 {
     net::ResultBody r;
     r.kind = net::ResultBody::Kind::Message;
@@ -407,10 +386,8 @@ TEST(AnalyzeWire, ResultExtrasRoundTripAndDegrade)
     r.traceId = 7;
     r.opStats = {{"rows_scanned", 800}, {"rows_out", 12}};
 
-    // Level 2: extras survive the round trip.
-    std::string enc2 = net::ResultWriter(r, 0)
-                           .finish(0, net::kFeatureTrace)
-                           .substr(net::kHeaderBytes);
+    std::string enc2 =
+        net::ResultWriter(r, 0).finish(0).substr(net::kHeaderBytes);
     net::ResultBody out2;
     net::DecodedRows rows;
     ASSERT_TRUE(net::decodeResult(enc2, out2, rows));
@@ -420,17 +397,6 @@ TEST(AnalyzeWire, ResultExtrasRoundTripAndDegrade)
     EXPECT_EQ(out2.opStats[0].first, "rows_scanned");
     EXPECT_EQ(out2.opStats[0].second, 800u);
     EXPECT_EQ(out2.execNs, 12345u);
-
-    // Level 1: extras dropped, frame still decodes cleanly.
-    std::string enc1 = net::ResultWriter(r, 0)
-                           .finish(0, net::kFeatureBase)
-                           .substr(net::kHeaderBytes);
-    EXPECT_LT(enc1.size(), enc2.size());
-    net::ResultBody out1;
-    ASSERT_TRUE(net::decodeResult(enc1, out1, rows));
-    EXPECT_FALSE(out1.hasTraceId);
-    EXPECT_TRUE(out1.opStats.empty());
-    EXPECT_EQ(out1.execNs, 12345u);
 }
 
 TEST(AnalyzeWire, UnknownTlvTagsAreSkipped)
@@ -441,7 +407,7 @@ TEST(AnalyzeWire, UnknownTlvTagsAreSkipped)
     q.sql = "SELECT num FROM t";
     q.hasTraceId = true;
     q.traceId = 99;
-    std::string enc = net::encodeQuery(q, net::kFeatureTrace);
+    std::string enc = net::encodeQuery(q);
 
     // Append an unknown TLV by hand: u8 tag + u32 length + payload.
     std::string extra;

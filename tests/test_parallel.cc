@@ -604,14 +604,12 @@ joinAndAnyQueries(const ParallelWorld &w)
 /** The counters no lane count or morsel size may move. */
 void
 expectSameWork(const engine::QueryStats &got,
-               const engine::QueryStats &ref, bool blocks)
+               const engine::QueryStats &ref)
 {
     EXPECT_EQ(got.rowsScanned, ref.rowsScanned);
     EXPECT_EQ(got.partitionTouches, ref.partitionTouches);
     EXPECT_EQ(got.matches, ref.matches);
     EXPECT_EQ(got.rowsOut, ref.rowsOut);
-    if (!blocks)
-        return;
     EXPECT_EQ(got.blocksScanned, ref.blocksScanned);
     EXPECT_EQ(got.blocksSkipped, ref.blocksSkipped);
     for (size_t i = 0; i < 4; ++i)
@@ -660,12 +658,7 @@ TEST(JoinAndAnyEq, TimingPathEqualsTheTracedLoopsOnEveryLayout)
                             base = st;
                             continue;
                         }
-                        // Sub-block morsels of a column predicate (the
-                        // join's WHERE) count a block once per morsel;
-                        // the ANY's whole-block morsels never do.
-                        expectSameWork(
-                            st, base,
-                            morsel == 0 || q.kind != engine::QueryKind::Join);
+                        expectSameWork(st, base);
                     }
                 }
             }

@@ -190,9 +190,9 @@ TEST(Wire, CrcMatchesBytewiseReference)
 
 /** The RESULT payload of a body without rows. */
 std::string
-payloadOf(const net::ResultBody &b, uint32_t level)
+payloadOf(const net::ResultBody &b)
 {
-    return net::ResultWriter(b, 0).finish(b.digest, level).substr(
+    return net::ResultWriter(b, 0).finish(b.digest).substr(
         net::kHeaderBytes);
 }
 
@@ -202,7 +202,7 @@ TEST(Wire, TypedBodiesRoundTrip)
     hello.clientName = "unit";
     net::HelloBody hello2;
     ASSERT_TRUE(decodeHello(encodeHello(hello), hello2));
-    EXPECT_EQ(hello2.wireVersion, net::kWireVersion);
+    EXPECT_EQ(hello2.wireVersion, net::kFeatureLevel);
     EXPECT_EQ(hello2.clientName, "unit");
 
     net::HelloOkBody ok;
@@ -239,7 +239,7 @@ TEST(Wire, TypedBodiesRoundTrip)
     w.row(2);
     w.null();
     w.integer(-5);
-    std::string frame = w.finish(0xDEADBEEFCAFEF00DULL, net::kFeatureBase);
+    std::string frame = w.finish(0xDEADBEEFCAFEF00DULL);
     net::ResultBody r2;
     net::DecodedRows rows;
     ASSERT_TRUE(
@@ -263,8 +263,7 @@ TEST(Wire, TypedBodiesRoundTrip)
     msg.kind = net::ResultBody::Kind::Message;
     msg.message = "ingested 10 documents";
     net::ResultBody msg2;
-    ASSERT_TRUE(decodeResult(payloadOf(msg, net::kFeatureBase), msg2,
-                             rows));
+    ASSERT_TRUE(decodeResult(payloadOf(msg), msg2, rows));
     EXPECT_EQ(msg2.kind, net::ResultBody::Kind::Message);
     EXPECT_EQ(msg2.message, msg.message);
     EXPECT_TRUE(rows.empty());
@@ -455,7 +454,7 @@ TEST(Wire, DecodersRejectShortAndTrailingBytes)
     net::ResultWriter w(r, 1);
     w.row(1);
     w.integer(7);
-    std::string enc = w.finish(0, net::kFeatureBase).substr(net::kHeaderBytes);
+    std::string enc = w.finish(0).substr(net::kHeaderBytes);
     net::ResultBody out;
     net::DecodedRows rows;
     EXPECT_FALSE(decodeResult(enc.substr(0, enc.size() / 2), out, rows));
@@ -484,8 +483,7 @@ using OracleRows = std::vector<std::vector<OracleCell>>;
  * slot-direct writer must match byte for byte.
  */
 std::string
-cellPathEncodeResult(const net::ResultBody &b, const OracleRows &rows,
-                     uint32_t level)
+cellPathEncodeResult(const net::ResultBody &b, const OracleRows &rows)
 {
     net::Writer w;
     w.u8(static_cast<uint8_t>(b.kind));
@@ -510,23 +508,21 @@ cellPathEncodeResult(const net::ResultBody &b, const OracleRows &rows,
     w.u64(b.digest);
     w.u64(b.checksum);
     w.u64(b.execNs);
-    if (level >= net::kFeatureTrace) {
-        if (b.hasTraceId) {
-            net::Writer v;
-            v.u64(b.traceId);
-            w.u8(net::kExtTraceId);
-            w.str(v.bytes());
+    if (b.hasTraceId) {
+        net::Writer v;
+        v.u64(b.traceId);
+        w.u8(net::kExtTraceId);
+        w.str(v.bytes());
+    }
+    if (!b.opStats.empty()) {
+        net::Writer v;
+        v.u32(static_cast<uint32_t>(b.opStats.size()));
+        for (const auto &[key, value] : b.opStats) {
+            v.str(key);
+            v.u64(value);
         }
-        if (!b.opStats.empty()) {
-            net::Writer v;
-            v.u32(static_cast<uint32_t>(b.opStats.size()));
-            for (const auto &[key, value] : b.opStats) {
-                v.str(key);
-                v.u64(value);
-            }
-            w.u8(net::kExtOpStats);
-            w.str(v.bytes());
-        }
+        w.u8(net::kExtOpStats);
+        w.str(v.bytes());
     }
     return w.bytes();
 }
@@ -561,58 +557,56 @@ TEST(ResultEncoding, SlotRowsMatchTheCellPathByteForByte)
     engine::ResultSet none; // zero rows
 
     for (const engine::ResultSet *rs : {&many, &none}) {
-        for (uint32_t level : {net::kFeatureBase, net::kFeatureTrace}) {
-            net::ResultBody meta;
-            meta.columns = {"num", "str1", "sparse_300"};
-            meta.oids = rs->oids;
-            meta.checksum = rs->checksum;
-            meta.execNs = 98765;
-            meta.hasTraceId = true;
-            meta.traceId = 0xABCDEF;
-            meta.opStats = {{"rows_out", rs->rowCount()}, {"plan_ns", 7}};
+        net::ResultBody meta;
+        meta.columns = {"num", "str1", "sparse_300"};
+        meta.oids = rs->oids;
+        meta.checksum = rs->checksum;
+        meta.execNs = 98765;
+        meta.hasTraceId = true;
+        meta.traceId = 0xABCDEF;
+        meta.opStats = {{"rows_out", rs->rowCount()}, {"plan_ns", 7}};
 
-            std::string direct;
-            ASSERT_TRUE(server::encodeRowResult(
-                meta, *rs, data, level, net::kMaxPayload, direct));
+        std::string direct;
+        ASSERT_TRUE(server::encodeRowResult(
+            meta, *rs, data, net::kMaxPayload, direct));
 
-            OracleRows cells;
-            for (engine::ResultRows::Row row : rs->rows) {
-                std::vector<OracleCell> out;
-                for (storage::Slot s : row)
-                    out.push_back(slotCell(data, s));
-                cells.push_back(std::move(out));
-            }
-            net::ResultBody head = meta;
-            head.digest = rs->digest();
-            std::string oracle = cellPathEncodeResult(head, cells, level);
-            // One frame: the header sealed in place over the payload.
-            EXPECT_EQ(direct, net::encodeFrame(net::FrameType::Result,
-                                               oracle))
-                << "rows " << rs->rowCount() << ", level " << level;
+        OracleRows cells;
+        for (engine::ResultRows::Row row : rs->rows) {
+            std::vector<OracleCell> out;
+            for (storage::Slot s : row)
+                out.push_back(slotCell(data, s));
+            cells.push_back(std::move(out));
+        }
+        net::ResultBody head = meta;
+        head.digest = rs->digest();
+        std::string oracle = cellPathEncodeResult(head, cells);
+        // One frame: the header sealed in place over the payload.
+        EXPECT_EQ(direct, net::encodeFrame(net::FrameType::Result,
+                                           oracle))
+            << "rows " << rs->rowCount();
 
-            net::ResultBody back;
-            net::DecodedRows rows;
-            ASSERT_TRUE(decodeResult(oracle, back, rows));
-            EXPECT_EQ(back.columns, meta.columns);
-            EXPECT_EQ(back.oids, meta.oids);
-            EXPECT_EQ(back.digest, rs->digest());
-            EXPECT_EQ(back.checksum, meta.checksum);
-            ASSERT_EQ(rows.size(), cells.size());
-            for (size_t r = 0; r < rows.size(); ++r) {
-                ASSERT_EQ(rows[r].size(), cells[r].size());
-                for (size_t c = 0; c < rows[r].size(); ++c) {
-                    net::CellView got = rows[r][c];
-                    const OracleCell &want = cells[r][c];
-                    ASSERT_EQ(got.kind(), want.kind);
-                    if (want.kind == net::CellKind::Int) {
-                        EXPECT_EQ(got.integer(), want.i);
-                    } else if (want.kind == net::CellKind::Str) {
-                        EXPECT_EQ(got.text(), want.s);
-                    }
+        net::ResultBody back;
+        net::DecodedRows rows;
+        ASSERT_TRUE(decodeResult(oracle, back, rows));
+        EXPECT_EQ(back.columns, meta.columns);
+        EXPECT_EQ(back.oids, meta.oids);
+        EXPECT_EQ(back.digest, rs->digest());
+        EXPECT_EQ(back.checksum, meta.checksum);
+        ASSERT_EQ(rows.size(), cells.size());
+        for (size_t r = 0; r < rows.size(); ++r) {
+            ASSERT_EQ(rows[r].size(), cells[r].size());
+            for (size_t c = 0; c < rows[r].size(); ++c) {
+                net::CellView got = rows[r][c];
+                const OracleCell &want = cells[r][c];
+                ASSERT_EQ(got.kind(), want.kind);
+                if (want.kind == net::CellKind::Int) {
+                    EXPECT_EQ(got.integer(), want.i);
+                } else if (want.kind == net::CellKind::Str) {
+                    EXPECT_EQ(got.text(), want.s);
                 }
             }
-            EXPECT_EQ(back.hasTraceId, level >= net::kFeatureTrace);
         }
+        EXPECT_TRUE(back.hasTraceId);
     }
 
     // A Message result goes through the same writer with zero rows.
@@ -622,15 +616,12 @@ TEST(ResultEncoding, SlotRowsMatchTheCellPathByteForByte)
     msg.execNs = 5;
     msg.hasTraceId = true;
     msg.traceId = 3;
-    for (uint32_t level : {net::kFeatureBase, net::kFeatureTrace}) {
-        EXPECT_EQ(payloadOf(msg, level),
-                  cellPathEncodeResult(msg, {}, level));
-        net::ResultBody back;
-        net::DecodedRows rows;
-        ASSERT_TRUE(decodeResult(payloadOf(msg, level), back, rows));
-        EXPECT_EQ(back.kind, net::ResultBody::Kind::Message);
-        EXPECT_EQ(back.message, msg.message);
-    }
+    EXPECT_EQ(payloadOf(msg), cellPathEncodeResult(msg, {}));
+    net::ResultBody back;
+    net::DecodedRows rows;
+    ASSERT_TRUE(decodeResult(payloadOf(msg), back, rows));
+    EXPECT_EQ(back.kind, net::ResultBody::Kind::Message);
+    EXPECT_EQ(back.message, msg.message);
 }
 
 /** Every decoded cell, read through its view. */
@@ -681,13 +672,13 @@ decodeTracked(const std::string &payload, OracleRows &cells)
 
 /** RESULT frames shaped like Q1, Q5, Q6, Q10 and a Message. */
 std::vector<std::string>
-damageShapes(uint32_t level)
+damageShapes()
 {
     engine::DataSet data;
     auto str = [&data](const std::string &t) {
         return storage::encodeString(data.dict.intern(t));
     };
-    std::mt19937_64 rng(level);
+    std::mt19937_64 rng(2);
     auto wide = [&](size_t nrows) {
         // SELECT * rows: 1018 cells, about 2% of them set.
         engine::ResultSet rs;
@@ -721,7 +712,7 @@ damageShapes(uint32_t level)
         meta.traceId = 0xABCDEF;
         meta.opStats = {{"rows_out", rs.rowCount()}, {"plan_ns", 7}};
         std::string frame;
-        EXPECT_TRUE(server::encodeRowResult(meta, rs, data, level,
+        EXPECT_TRUE(server::encodeRowResult(meta, rs, data,
                                             net::kMaxPayload, frame));
         frames.push_back(frame);
     }
@@ -730,25 +721,23 @@ damageShapes(uint32_t level)
     msg.message = "EXPLAIN text";
     msg.hasTraceId = true;
     msg.traceId = 9;
-    frames.push_back(net::ResultWriter(msg, 0).finish(0, level));
+    frames.push_back(net::ResultWriter(msg, 0).finish(0));
     return frames;
 }
 
 TEST(ResultDecoding, TruncatedPrefixesDecodeWholeOrFail)
 {
-    // A strict prefix can still be a valid payload (a level-2 payload
-    // cut just before its TLV block is a level-1 payload), but then it
-    // carries exactly the original cells.
-    for (uint32_t level : {net::kFeatureBase, net::kFeatureTrace}) {
-        for (const std::string &frame : damageShapes(level)) {
-            std::string payload = frame.substr(net::kHeaderBytes);
-            OracleRows want;
-            ASSERT_TRUE(decodeTracked(payload, want));
-            for (size_t len = 0; len < payload.size(); ++len) {
-                OracleRows got;
-                if (decodeTracked(payload.substr(0, len), got)) {
-                    ASSERT_EQ(got, want) << "prefix " << len;
-                }
+    // A strict prefix can still be a valid payload (one cut just
+    // before its TLV block), but then it carries exactly the original
+    // cells.
+    for (const std::string &frame : damageShapes()) {
+        std::string payload = frame.substr(net::kHeaderBytes);
+        OracleRows want;
+        ASSERT_TRUE(decodeTracked(payload, want));
+        for (size_t len = 0; len < payload.size(); ++len) {
+            OracleRows got;
+            if (decodeTracked(payload.substr(0, len), got)) {
+                ASSERT_EQ(got, want) << "prefix " << len;
             }
         }
     }
@@ -756,34 +745,32 @@ TEST(ResultDecoding, TruncatedPrefixesDecodeWholeOrFail)
 
 TEST(ResultDecoding, FlippedBytesDecodeWholeOrFail)
 {
-    for (uint32_t level : {net::kFeatureBase, net::kFeatureTrace}) {
-        for (const std::string &frame : damageShapes(level)) {
-            std::string payload = frame.substr(net::kHeaderBytes);
-            OracleRows want;
-            ASSERT_TRUE(decodeTracked(payload, want));
-            for (size_t at = 0; at < frame.size(); ++at) {
-                for (uint8_t mask : {0x01, 0x80, 0xFF}) {
-                    SCOPED_TRACE("byte " + std::to_string(at) + " ^ " +
-                                 std::to_string(mask));
-                    std::string bad = frame;
-                    bad[at] = static_cast<char>(bad[at] ^ mask);
-                    // The decoder on its own stays inside the payload
-                    // and its allocation bound whatever the damage.
-                    OracleRows cells;
-                    if (at >= net::kHeaderBytes)
-                        decodeTracked(bad.substr(net::kHeaderBytes), cells);
-                    // What a client sees: the frame is refused (CRC,
-                    // header checks), arrives as another frame type,
-                    // or decodes to exactly the original cells.
-                    net::FrameAssembler in;
-                    in.feed(bad.data(), bad.size());
-                    net::Frame f;
-                    if (!in.next(f) || f.type != net::FrameType::Result)
-                        continue;
-                    OracleRows got;
-                    if (decodeTracked(f.payload, got)) {
-                        ASSERT_EQ(got, want);
-                    }
+    for (const std::string &frame : damageShapes()) {
+        std::string payload = frame.substr(net::kHeaderBytes);
+        OracleRows want;
+        ASSERT_TRUE(decodeTracked(payload, want));
+        for (size_t at = 0; at < frame.size(); ++at) {
+            for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+                SCOPED_TRACE("byte " + std::to_string(at) + " ^ " +
+                             std::to_string(mask));
+                std::string bad = frame;
+                bad[at] = static_cast<char>(bad[at] ^ mask);
+                // The decoder on its own stays inside the payload
+                // and its allocation bound whatever the damage.
+                OracleRows cells;
+                if (at >= net::kHeaderBytes)
+                    decodeTracked(bad.substr(net::kHeaderBytes), cells);
+                // What a client sees: the frame is refused (CRC,
+                // header checks), arrives as another frame type,
+                // or decodes to exactly the original cells.
+                net::FrameAssembler in;
+                in.feed(bad.data(), bad.size());
+                net::Frame f;
+                if (!in.next(f) || f.type != net::FrameType::Result)
+                    continue;
+                OracleRows got;
+                if (decodeTracked(f.payload, got)) {
+                    ASSERT_EQ(got, want);
                 }
             }
         }
@@ -801,22 +788,18 @@ TEST(ResultEncoding, RowWriterStopsPastTheByteCap)
     meta.columns = {"num", "str1"};
 
     std::string full;
-    ASSERT_TRUE(server::encodeRowResult(meta, rs, data, net::kFeatureBase,
-                                        net::kMaxPayload, full));
+    ASSERT_TRUE(server::encodeRowResult(meta, rs, data, net::kMaxPayload,
+                                        full));
     size_t payload = full.size() - net::kHeaderBytes;
     std::string out;
     // The cap is inclusive: exactly the payload size fits, one byte
     // less does not, and a tiny cap stops within the first rows.
-    EXPECT_TRUE(server::encodeRowResult(meta, rs, data,
-                                        net::kFeatureBase, payload, out));
+    EXPECT_TRUE(server::encodeRowResult(meta, rs, data, payload, out));
     EXPECT_EQ(out, full);
-    EXPECT_FALSE(server::encodeRowResult(
-        meta, rs, data, net::kFeatureBase, payload - 1, out));
-    EXPECT_FALSE(server::encodeRowResult(meta, rs, data,
-                                         net::kFeatureBase, 64, out));
+    EXPECT_FALSE(server::encodeRowResult(meta, rs, data, payload - 1, out));
+    EXPECT_FALSE(server::encodeRowResult(meta, rs, data, 64, out));
     engine::ResultSet none;
-    EXPECT_TRUE(server::encodeRowResult(meta, none, data,
-                                        net::kFeatureBase, 64, out));
+    EXPECT_TRUE(server::encodeRowResult(meta, none, data, 64, out));
 }
 
 // ---------------------------------------------------------------------
@@ -867,7 +850,6 @@ class ScriptedPeer
         };
         if (next() && f.type == net::FrameType::Hello) {
             net::HelloOkBody ok;
-            ok.wireVersion = net::kFeatureBase;
             ok.serverName = "scripted";
             ok.sessionId = 1;
             std::string hello = net::encodeFrame(net::FrameType::HelloOk,
@@ -921,7 +903,7 @@ oneRowFrame()
     net::ResultWriter w(head, 1);
     w.row(1);
     w.text("str1_1");
-    return w.finish(0x1234, net::kFeatureBase);
+    return w.finish(0x1234);
 }
 
 TEST(ClientErrors, NotConnectedIsConnectionLost)
@@ -1206,18 +1188,18 @@ TEST_F(ServerWorld, HandshakeQueryAndStats)
     EXPECT_EQ(counterValue("dvp_server_requests_total"), reqs0 + 4);
 }
 
-TEST_F(ServerWorld, QueryBeforeHelloIsAProtocolError)
+/**
+ * Send @p frame as the first bytes of a raw connection to @p port and
+ * expect a PROTOCOL_ERROR frame back, then the server hanging up.
+ * @p message receives the error text.
+ */
+void
+expectProtocolErrorAndHangUp(uint16_t port, const std::string &frame,
+                             std::string *message)
 {
-    World w;
-    server::Server srv(*w.engine, {});
-    ASSERT_EQ(srv.start(), "");
-
     std::string err;
-    int fd = net::connectTcp("127.0.0.1", srv.port(), 2000, &err);
+    int fd = net::connectTcp("127.0.0.1", port, 2000, &err);
     ASSERT_GE(fd, 0) << err;
-    std::string frame = net::encodeFrame(
-        net::FrameType::Query,
-        encodeQuery(net::QueryBody{"SELECT str1, num FROM t"}));
     ASSERT_TRUE(net::sendAll(fd, frame.data(), frame.size()));
 
     net::FrameAssembler as;
@@ -1235,11 +1217,26 @@ TEST_F(ServerWorld, QueryBeforeHelloIsAProtocolError)
     net::ErrorBody e;
     ASSERT_TRUE(decodeError(f.payload, e));
     EXPECT_EQ(e.code, net::ErrorCode::Protocol);
+    *message = e.message;
 
     // And the server hangs up: the next read is EOF.
     long n = net::recvSome(fd, buf, sizeof(buf));
     EXPECT_LE(n, 0);
     net::closeFd(fd);
+}
+
+TEST_F(ServerWorld, QueryBeforeHelloIsAProtocolError)
+{
+    World w;
+    server::Server srv(*w.engine, {});
+    ASSERT_EQ(srv.start(), "");
+    std::string message;
+    expectProtocolErrorAndHangUp(
+        srv.port(),
+        net::encodeFrame(
+            net::FrameType::Query,
+            encodeQuery(net::QueryBody{"SELECT str1, num FROM t"})),
+        &message);
     srv.stop();
 }
 
@@ -1335,6 +1332,115 @@ TEST_F(ServerWorld, ConcurrentClientsMatchInProcessDigests)
               conns0 + kClients);
     EXPECT_EQ(counterValue("dvp_server_requests_total"),
               reqs0 + kClients * kRounds * queryMix().size());
+}
+
+TEST_F(ServerWorld, ConcurrentInsertsAndSelectsSeeASerialPrefix)
+{
+    // One wire client INSERTs documents that bring new attributes and
+    // new strings while others SELECT those strings, EXPLAIN and read
+    // STATS.  Every answer must equal a serial run over some prefix of
+    // the inserts, and each reader's prefixes never go backwards.
+    constexpr int kInserts = 24;
+    constexpr int kReaders = 3;
+    const std::vector<std::string> selects = {
+        "SELECT str1, num FROM t WHERE num BETWEEN 900000000 AND "
+        "900999999",
+        "SELECT * FROM t WHERE num BETWEEN 900000000 AND 900999999",
+        "SELECT str1, num FROM t",
+    };
+    auto insert = [](int i) {
+        std::string n = std::to_string(i);
+        return "INSERT INTO nobench VALUES ('{\"str1\": \"fresh_str_" + n +
+               "\", \"num\": " + std::to_string(900000000 + i) +
+               ", \"fresh_attr_" + n + "\": \"fresh_val_" + n + "\"}')";
+    };
+
+    // Serial reference: digest -> prefix length, per SELECT.
+    std::vector<std::map<uint64_t, int>> prefix_of(selects.size());
+    {
+        World ref;
+        for (int k = 0; k <= kInserts; ++k) {
+            for (size_t q = 0; q < selects.size(); ++q) {
+                sql::RunResult r = sql::runStatement(*ref.engine, selects[q]);
+                ASSERT_TRUE(r.ok) << selects[q] << ": " << r.error;
+                // Every insert changes every answer.
+                ASSERT_TRUE(prefix_of[q].emplace(r.rows.digest(), k).second)
+                    << selects[q] << " at prefix " << k;
+            }
+            if (k < kInserts) {
+                ASSERT_TRUE(sql::runStatement(*ref.engine, insert(k)).ok);
+            }
+        }
+    }
+
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        World w;
+        const uint64_t base_docs = w.data.docs.size();
+        server::Config scfg;
+        scfg.workers = workers;
+        scfg.allowInsert = true;
+        server::Server srv(*w.engine, scfg);
+        ASSERT_EQ(srv.start(), "");
+
+        std::atomic<bool> done{false};
+        std::vector<std::thread> readers;
+        for (int t = 0; t < kReaders; ++t) {
+            readers.emplace_back([&, t] {
+                client::Client c;
+                std::string err = c.connect("127.0.0.1", srv.port(),
+                                            "reader-" + std::to_string(t));
+                if (!err.empty()) {
+                    ADD_FAILURE() << err;
+                    return;
+                }
+                std::vector<int> last(selects.size(), 0);
+                uint64_t last_docs = base_docs;
+                auto round = [&] {
+                    for (size_t q = 0; q < selects.size(); ++q) {
+                        client::Result r = c.query(selects[q]);
+                        auto it = prefix_of[q].find(r.digest);
+                        if (!r.ok || it == prefix_of[q].end() ||
+                            it->second < last[q]) {
+                            ADD_FAILURE()
+                                << selects[q] << ": " << r.error
+                                << " (no serial prefix at or after "
+                                << last[q] << ")";
+                            return;
+                        }
+                        last[q] = it->second;
+                    }
+                    client::Result ex = c.query("EXPLAIN " + selects[0]);
+                    EXPECT_TRUE(ex.ok && ex.isMessage) << ex.error;
+                    client::Stats st = c.stats();
+                    EXPECT_TRUE(st.ok) << st.error;
+                    uint64_t docs = st.get("docs");
+                    EXPECT_GE(docs, last_docs);
+                    EXPECT_LE(docs, base_docs + kInserts);
+                    last_docs = docs;
+                };
+                while (!done.load())
+                    round();
+                round(); // after the last ack: the whole prefix
+                for (size_t q = 0; q < selects.size(); ++q)
+                    EXPECT_EQ(last[q], kInserts) << selects[q];
+                c.close();
+            });
+        }
+
+        client::Client writer;
+        ASSERT_EQ(writer.connect("127.0.0.1", srv.port(), "writer"), "");
+        for (int i = 0; i < kInserts; ++i) {
+            client::Result r = writer.query(insert(i));
+            EXPECT_TRUE(r.ok && r.isMessage) << r.error;
+        }
+        writer.close();
+        done.store(true);
+        for (auto &th : readers)
+            th.join();
+        srv.stop();
+        EXPECT_EQ(w.data.docs.size(), base_docs + kInserts);
+    }
 }
 
 TEST_F(ServerWorld, DigestsStableWhileRepartitionSwapsUnderneath)
@@ -1827,8 +1933,6 @@ TEST_F(ServerWorld, TraceIdAndOperatorSummaryPropagate)
     client::Client c;
     c.setTraceId(0xabad1deaf00dfeedull);
     ASSERT_EQ(c.connect("127.0.0.1", srv.port(), "traced"), "");
-    // Both ends speak level 2, so the handshake lands there.
-    EXPECT_EQ(c.featureLevel(), net::kFeatureTrace);
 
     client::Result r =
         c.query("SELECT * FROM t WHERE num BETWEEN 1000 AND 1999");
@@ -1859,33 +1963,36 @@ TEST_F(ServerWorld, TraceIdAndOperatorSummaryPropagate)
     srv.stop();
 }
 
-TEST_F(ServerWorld, LegacyClientWithoutTlvSupportStillWorks)
+TEST_F(ServerWorld, Level1HelloIsRefusedAndTheNextClientIsServed)
 {
-    // Compat: a pre-TLV client advertises level 1; the session must
-    // degrade to the legacy encoding and complete queries unchanged.
+    // Feature level 1 (the pre-TLV encoding) is retired: its HELLO gets
+    // a typed PROTOCOL_ERROR and the connection closes, and the server
+    // keeps serving the next client.
     World w;
     server::Server srv(*w.engine, {});
     ASSERT_EQ(srv.start(), "");
 
-    client::Client legacy;
-    legacy.setMaxFeatureLevel(net::kFeatureBase);
-    legacy.setTraceId(123); // must be ignored at level 1
-    ASSERT_EQ(legacy.connect("127.0.0.1", srv.port(), "old"), "");
-    EXPECT_EQ(legacy.featureLevel(), net::kFeatureBase);
+    net::HelloBody hello;
+    hello.wireVersion = 1;
+    hello.clientName = "old";
+    std::string message;
+    expectProtocolErrorAndHangUp(
+        srv.port(),
+        net::encodeFrame(net::FrameType::Hello, encodeHello(hello)),
+        &message);
+    EXPECT_NE(message.find("wire version 1"), std::string::npos)
+        << message;
 
+    client::Client c;
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port(), "next"), "");
     client::Result r =
-        legacy.query("SELECT * FROM t WHERE num BETWEEN 1000 AND 1999");
+        c.query("SELECT * FROM t WHERE num BETWEEN 1000 AND 1999");
     ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_FALSE(r.hasTraceId);
-    EXPECT_TRUE(r.opStats.empty());
-
     sql::RunResult local = sql::runStatement(
         *w.engine, "SELECT * FROM t WHERE num BETWEEN 1000 AND 1999");
     ASSERT_TRUE(local.ok);
     EXPECT_EQ(r.digest, local.rows.digest());
-    EXPECT_EQ(r.rows.size(), local.rows.rowCount());
-
-    legacy.close();
+    c.close();
     srv.stop();
 }
 
