@@ -42,6 +42,7 @@
 #include "net/wire.hh"
 #include "server/server.hh"
 #include "sql/run.hh"
+#include "util/codec.hh"
 #include "util/logging.hh"
 
 using namespace dvp;
@@ -129,8 +130,8 @@ runOnce(adaptive::AdaptiveEngine &eng, const engine::DataSet &data,
                                  frame))
         fatal("%s: result too large", sql);
     double encode_all = msSince(t);
-    volatile uint32_t crc = net::crc32(frame.data() + net::kHeaderBytes,
-                                       frame.size() - net::kHeaderBytes);
+    volatile uint32_t crc = crc32(frame.data() + net::kHeaderBytes,
+                                  frame.size() - net::kHeaderBytes);
     (void)crc;
     ms[Frame] = msSince(t);
     ms[Encode] = std::max(0.0, encode_all - ms[Digest] - ms[Frame]);

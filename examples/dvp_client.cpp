@@ -6,6 +6,8 @@
  *
  * Each positional argument is one SQL statement, executed in order on
  * a single connection; rows print as tab-separated text with a header.
+ * An argument starting with "--" that is not a flag above, or a flag
+ * missing its value, is a usage error (exit 2, nothing sent).
  * --exec reads additional statements from FILE (or stdin with "-"),
  * one per line — blank lines and lines starting with '#' or "--" are
  * skipped — so bulk INSERT scripts can be piped at a server without
@@ -143,21 +145,34 @@ main(int argc, char **argv)
     std::string exec_path;
     std::vector<std::string> statements;
 
+    auto usage = [&] {
+        std::fprintf(stderr,
+                     "usage: %s [--host H] [--port P] [--stats] "
+                     "[--trace-id HEX] [--exec FILE|-] "
+                     "\"SELECT ...\" ...\n",
+                     argv[0]);
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--host" && i + 1 < argc)
+        const bool has_value = i + 1 < argc;
+        if (a == "--stats")
+            want_stats = true;
+        else if (a.rfind("--", 0) != 0)
+            statements.push_back(a);
+        else if (!has_value)
+            return usage(); // unknown flag, or a known one without value
+        else if (a == "--host")
             host = argv[++i];
-        else if (a == "--port" && i + 1 < argc)
+        else if (a == "--port")
             port = static_cast<uint16_t>(
                 std::strtoul(argv[++i], nullptr, 10));
-        else if (a == "--stats")
-            want_stats = true;
-        else if (a == "--trace-id" && i + 1 < argc)
+        else if (a == "--trace-id")
             trace_id = std::strtoull(argv[++i], nullptr, 16);
-        else if (a == "--exec" && i + 1 < argc)
+        else if (a == "--exec")
             exec_path = argv[++i];
         else
-            statements.push_back(a);
+            return usage();
     }
     if (!exec_path.empty()) {
         if (exec_path == "-") {
@@ -172,14 +187,8 @@ main(int argc, char **argv)
             readStatements(in, statements);
         }
     }
-    if (statements.empty() && !want_stats) {
-        std::fprintf(stderr,
-                     "usage: %s [--host H] [--port P] [--stats] "
-                     "[--trace-id HEX] [--exec FILE|-] "
-                     "\"SELECT ...\" ...\n",
-                     argv[0]);
-        return 2;
-    }
+    if (statements.empty() && !want_stats)
+        return usage();
 
     client::Client c;
     if (trace_id != 0)

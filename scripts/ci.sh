@@ -166,6 +166,20 @@ print(f"parallel scaling smoke: {len(want)} query x lane cells ok")
 EOF
 
 echo "=== network server ==="
+# dvp_client refuses a flag it does not know as a usage error (exit
+# 2) before it connects: port 1 has no server, so any connection
+# attempt would print a connect error.
+set +e
+./build-ci/examples/dvp_client --port 1 --bogus "SELECT 1" \
+    > /dev/null 2> "$OBS_TMP/usage.err"
+USAGE_RC=$?
+set -e
+[ "$USAGE_RC" -eq 2 ]
+grep -q "^usage:" "$OBS_TMP/usage.err"
+if grep -q "connect" "$OBS_TMP/usage.err"; then
+    echo "dvp_client connected before refusing an unknown flag" >&2
+    exit 1
+fi
 # End-to-end over real sockets: dvpd on an ephemeral port discovered
 # via --port-file, a dvp_client smoke (query + EXPLAIN + stats), a
 # graceful SIGTERM drain, then a short load-generator run whose NDJSON

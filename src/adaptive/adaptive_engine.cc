@@ -11,10 +11,7 @@ namespace dvp::adaptive
 AdaptiveEngine::AdaptiveEngine(engine::DataSet &data,
                                const std::vector<engine::Query> &initial,
                                Params params)
-    : data(&data), prm(params),
-      threads_(params.threads == 0 ? 1 : params.threads),
-      morsel_rows_(params.morselRows),
-      detector(params.window, params.changeThreshold)
+    : data(&data), prm(params), detector(params.window, params.changeThreshold)
 {
     core::Partitioner partitioner(data, initial, prm.search);
     core::SearchResult res = partitioner.run();
@@ -40,10 +37,7 @@ AdaptiveEngine::AdaptiveEngine(engine::DataSet &data,
 
 AdaptiveEngine::AdaptiveEngine(RestoreTag, engine::DataSet &data,
                                Restore r, Params params)
-    : data(&data), prm(params),
-      threads_(params.threads == 0 ? 1 : params.threads),
-      morsel_rows_(params.morselRows),
-      detector(params.window, params.changeThreshold)
+    : data(&data), prm(params), detector(params.window, params.changeThreshold)
 {
     // No partitioner run: the committed layout is rebuilt verbatim
     // from docs[0, baseDocs), which only reference attributes it

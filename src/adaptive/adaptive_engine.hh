@@ -238,26 +238,11 @@ class AdaptiveEngine
     static constexpr size_t kAuditCapacity = 64;
 
     /**
-     * Execution knobs, applied uniformly to every executor the engine
-     * creates — including queries racing a background swap, which keep
-     * the configured values on both the old and the new database.
+     * Execution knobs from Params, applied uniformly to every executor
+     * the engine creates.
      */
-    void setThreads(size_t t)
-    {
-        threads_.store(t == 0 ? 1 : t, std::memory_order_relaxed);
-    }
-    size_t threads() const
-    {
-        return threads_.load(std::memory_order_relaxed);
-    }
-    void setMorselRows(size_t rows)
-    {
-        morsel_rows_.store(rows, std::memory_order_relaxed);
-    }
-    size_t morselRows() const
-    {
-        return morsel_rows_.load(std::memory_order_relaxed);
-    }
+    size_t threads() const { return prm.threads == 0 ? 1 : prm.threads; }
+    size_t morselRows() const { return prm.morselRows; }
 
     /**
      * The engine's plan cache.  Entries are keyed by template signature
@@ -308,8 +293,6 @@ class AdaptiveEngine
     engine::DataSet *data;
     Params prm;
     durability::Manager *dur_ = nullptr;
-    std::atomic<size_t> threads_{1};
-    std::atomic<size_t> morsel_rows_{0};
 
     /**
      * The engine lock.  Shared: a statement's parse, a query's bind +

@@ -7,9 +7,9 @@
 #include <sys/file.h>
 #include <unistd.h>
 
-#include "net/wire.hh"
 #include "obs/metrics.hh"
 #include "persist/snapshot.hh"
+#include "util/codec.hh"
 #include "util/durable_file.hh"
 #include "util/logging.hh"
 #include "util/timer.hh"
@@ -38,6 +38,37 @@ isSnapshotFile(const std::string &name)
            name.compare(29, 5, ".snap") == 0;
 }
 
+/**
+ * Swap record body: u64 epoch | u64 baseDocs | the layout, in the
+ * layout codec the checkpoint image also uses (layout::encodeLayout).
+ */
+std::string
+encodeSwapBody(const layout::Layout &layout, uint64_t epoch,
+               uint64_t base_docs)
+{
+    Writer w;
+    w.u64(epoch);
+    w.u64(base_docs);
+    layout::encodeLayout(w, layout);
+    return w.take();
+}
+
+/**
+ * Decode a Swap body over a catalog of @p catalog_size attributes:
+ * the layout is checked the way the checkpoint image's is.
+ */
+bool
+decodeSwapBody(const std::string &body, size_t catalog_size,
+               layout::Layout &layout, uint64_t &epoch,
+               uint64_t &base_docs)
+{
+    Reader r(body);
+    epoch = r.u64();
+    base_docs = r.u64();
+    return layout::decodeLayout(r, catalog_size, layout).empty() &&
+           r.exhausted();
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -48,7 +79,7 @@ std::string
 Manager::encodeIngestBody(
     const std::vector<std::vector<json::FlatAttr>> &docs)
 {
-    net::Writer w;
+    Writer w;
     w.u32(static_cast<uint32_t>(docs.size()));
     for (const auto &doc : docs) {
         w.u32(static_cast<uint32_t>(doc.size()));
@@ -84,19 +115,25 @@ Manager::encodeIngestBody(
             }
         }
     }
-    return w.bytes();
+    return w.take();
 }
 
 bool
 Manager::decodeIngestBody(const std::string &body,
                           std::vector<std::vector<json::FlatAttr>> &out)
 {
-    net::Reader r(body);
+    // A document takes at least 4 bytes and an attribute at least 5,
+    // so no count sizes anything before the bytes left can hold it.
+    Reader r(body);
     uint32_t ndocs = r.u32();
+    if (ndocs > r.remaining() / 4)
+        return false;
     out.clear();
     out.reserve(ndocs);
     for (uint32_t d = 0; d < ndocs && r.ok(); ++d) {
         uint32_t nattrs = r.u32();
+        if (nattrs > r.remaining() / 5)
+            return false;
         std::vector<json::FlatAttr> doc;
         doc.reserve(nattrs);
         for (uint32_t a = 0; a < nattrs && r.ok(); ++a) {
@@ -133,48 +170,6 @@ Manager::decodeIngestBody(const std::string &body,
         out.push_back(std::move(doc));
     }
     return r.exhausted();
-}
-
-std::string
-Manager::encodeSwapBody(const layout::Layout &layout, uint64_t epoch,
-                        uint64_t base_docs)
-{
-    net::Writer w;
-    w.u64(epoch);
-    w.u64(base_docs);
-    w.u32(static_cast<uint32_t>(layout.partitionCount()));
-    for (const auto &part : layout.partitions()) {
-        w.u32(static_cast<uint32_t>(part.size()));
-        for (storage::AttrId a : part)
-            w.u32(a);
-    }
-    return w.bytes();
-}
-
-bool
-Manager::decodeSwapBody(const std::string &body, layout::Layout &layout,
-                        uint64_t &epoch, uint64_t &base_docs)
-{
-    net::Reader r(body);
-    epoch = r.u64();
-    base_docs = r.u64();
-    uint32_t nparts = r.u32();
-    std::vector<std::vector<storage::AttrId>> parts;
-    parts.reserve(nparts);
-    for (uint32_t p = 0; p < nparts && r.ok(); ++p) {
-        uint32_t k = r.u32();
-        if (k == 0)
-            return false;
-        std::vector<storage::AttrId> attrs;
-        attrs.reserve(k);
-        for (uint32_t i = 0; i < k && r.ok(); ++i)
-            attrs.push_back(r.u32());
-        parts.push_back(std::move(attrs));
-    }
-    if (!r.exhausted())
-        return false;
-    layout = layout::Layout(std::move(parts));
-    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -345,7 +340,8 @@ Manager::replaySegments(engine::DataSet &out, RecoveryInfo &info,
             } else {
                 layout::Layout l;
                 uint64_t epoch = 0, base = 0;
-                if (!decodeSwapBody(rec.body, l, epoch, base))
+                if (!decodeSwapBody(rec.body, out.catalog.attrCount(), l,
+                                    epoch, base))
                     return "corrupt Swap record at LSN " +
                            std::to_string(rec.lsn);
                 if (base > out.docs.size())

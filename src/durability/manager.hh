@@ -173,14 +173,15 @@ class Manager
     const Config &config() const { return cfg_; }
 
     // -----------------------------------------------------------------
-    // WAL record body codecs (public for tests and replay tooling).
+    // Ingest record body codec (public for the engine, tests and
+    // replay tooling).
     //
     // Ingest: u32 ndocs | ndocs x { u32 nattrs | nattrs x
     //         { str path, u8 kind, value } } where kind is 0 null,
     //         1 false, 2 true, 3 int (i64), 4 double (IEEE bits as
     //         u64), 5 string (str).
-    // Swap:   u64 epoch | u64 baseDocs | u32 nparts | nparts x
-    //         { u32 k, k x u32 attr }
+    // Swap bodies (u64 epoch | u64 baseDocs | layout) are private to
+    // manager.cc and share the checkpoint image's layout codec.
     // -----------------------------------------------------------------
 
     static std::string
@@ -188,13 +189,6 @@ class Manager
     static bool
     decodeIngestBody(const std::string &body,
                      std::vector<std::vector<json::FlatAttr>> &out);
-
-    static std::string encodeSwapBody(const layout::Layout &layout,
-                                      uint64_t epoch,
-                                      uint64_t base_docs);
-    static bool decodeSwapBody(const std::string &body,
-                               layout::Layout &layout, uint64_t &epoch,
-                               uint64_t &base_docs);
 
   private:
     std::string replaySegments(engine::DataSet &out, RecoveryInfo &info,

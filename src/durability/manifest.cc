@@ -1,8 +1,6 @@
 #include "durability/manifest.hh"
 
-#include <cstring>
-
-#include "net/wire.hh"
+#include "util/codec.hh"
 #include "util/durable_file.hh"
 
 namespace dvp::durability
@@ -10,16 +8,19 @@ namespace dvp::durability
 
 namespace
 {
-constexpr char kManifestMagic[8] = {'D', 'V', 'P', 'M', 'A', 'N',
-                                    '1', '\0'};
-constexpr int kManifestVersion = kManifestMagic[6] - '0';
+constexpr Envelope kEnvelope{"manifest",
+                             "DVPMAN",
+                             1,
+                             "manifest: bad magic",
+                             "manifest: bad magic",
+                             "manifest: CRC mismatch"};
 } // namespace
 
 std::string
 encodeManifest(const Manifest &m)
 {
-    net::Writer w;
-    std::string out(kManifestMagic, 8);
+    Writer w;
+    kEnvelope.begin(w);
     w.u64(m.seq);
     w.str(m.snapshotFile);
     w.u64(m.snapshotLsn);
@@ -27,26 +28,17 @@ encodeManifest(const Manifest &m)
     w.u32(static_cast<uint32_t>(m.segments.size()));
     for (const auto &s : m.segments)
         w.str(s);
-    out += w.bytes();
-    uint32_t crc = net::crc32(out.data(), out.size());
-    out.append(reinterpret_cast<const char *>(&crc), 4);
-    return out;
+    Envelope::seal(w);
+    return w.take();
 }
 
 std::string
 decodeManifest(const std::string &bytes, Manifest &out)
 {
-    int version = formatVersion(bytes, "DVPMAN");
-    if (version > kManifestVersion)
-        return newerFormatError("manifest", version, kManifestVersion);
-    if (bytes.size() < 12 ||
-        std::memcmp(bytes.data(), kManifestMagic, 8) != 0)
-        return "manifest: bad magic";
-    uint32_t stored = 0;
-    std::memcpy(&stored, bytes.data() + bytes.size() - 4, 4);
-    if (net::crc32(bytes.data(), bytes.size() - 4) != stored)
-        return "manifest: CRC mismatch";
-    net::Reader r(bytes.data() + 8, bytes.size() - 12);
+    Reader r(nullptr, 0);
+    std::string err = kEnvelope.open(bytes, r);
+    if (!err.empty())
+        return err;
     out.seq = r.u64();
     out.snapshotFile = r.str();
     out.snapshotLsn = r.u64();

@@ -5,7 +5,8 @@
  * recovery resumes from.  It is the root of the recovery tree —
  * everything else in the data directory is reachable from it.
  *
- * Encoding (little-endian, net::Writer conventions):
+ * Encoding (little-endian, util/codec.hh conventions; the magic,
+ * version and trailing CRC are the Envelope of util/durable_file.hh):
  *
  *   8 bytes  magic "DVPMAN1\0"
  *   u64      seq            monotonically increasing rewrite count

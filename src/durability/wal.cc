@@ -9,8 +9,8 @@
 #include <filesystem>
 #include <unistd.h>
 
-#include "net/wire.hh"
 #include "obs/metrics.hh"
+#include "util/codec.hh"
 #include "util/durable_file.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
@@ -107,7 +107,7 @@ scanSegmentFile(const std::string &path)
             break;
         }
         const char *payload = bytes.data() + pos + kRecordPrefixBytes;
-        if (net::crc32(payload, len) != crc) {
+        if (crc32(payload, len) != crc) {
             scan.torn = true;
             break;
         }
@@ -272,13 +272,13 @@ Wal::append(RecordType type, const std::string &body)
         }
     }
     uint64_t lsn = next_lsn_.load(std::memory_order_acquire);
-    net::Writer payload;
+    Writer payload;
     payload.u8(static_cast<uint8_t>(type));
     payload.u64(lsn);
     std::string joined = payload.bytes() + body;
-    net::Writer head;
+    Writer head;
     head.u32(static_cast<uint32_t>(joined.size()));
-    head.u32(net::crc32(joined.data(), joined.size()));
+    head.u32(crc32(joined.data(), joined.size()));
     std::string frame = head.bytes() + joined;
     if (writeFully(fd_, frame.data(), frame.size()) != frame.size()) {
         failed_.store(true, std::memory_order_release);

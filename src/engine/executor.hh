@@ -78,7 +78,6 @@ class Executor
 
     /** Max worker lanes (including the caller) a query may occupy. */
     size_t threads() const { return threads_; }
-    void setThreads(size_t t) { threads_ = t == 0 ? 1 : t; }
 
     /** Morsel granularity override (tests use small tables). */
     void setMorselRows(size_t rows)

@@ -171,7 +171,7 @@ parseChunkDom(std::string_view text, const Chunk &chunk,
         if (blankLine(ln))
             continue;
         uint64_t t0 = opt.timeStages ? nowNs() : 0;
-        json::ParseResult pr = json::parse(ln, opt.maxDepth);
+        json::ParseResult pr = json::parse(ln, json::kTapeDefaultMaxDepth);
         std::string err;
         if (!pr.ok) {
             err = pr.error;
@@ -208,10 +208,8 @@ parseNdjsonFlat(std::string_view text, const LoadOptions &opt,
                        ? 1
                        : std::max(threads, ThreadPool::shared().laneCount());
     std::vector<json::TapeParser> parsers(lanes);
-    for (auto &p : parsers) {
+    for (auto &p : parsers)
         p.setForm(opt.form);
-        p.setMaxDepth(opt.maxDepth);
-    }
     std::vector<ChunkResult> results(wave);
 
     LoadStats agg;

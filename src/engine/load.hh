@@ -45,8 +45,6 @@ struct LoadOptions
     json::TapeForm form = json::TapeForm::Auto;
     /** Parse lanes; 1 = serial on the caller, no pool involvement. */
     size_t threads = 1;
-    /** Nesting-depth limit per document. */
-    int maxDepth = json::kTapeDefaultMaxDepth;
     /**
      * Time index/walk per document into LoadStats (two extra clock
      * pairs per doc; leave off except when benching the breakdown).

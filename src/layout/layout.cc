@@ -188,4 +188,42 @@ Layout::validate() const
     invariant(seen == nattrs, "layout attribute index out of sync");
 }
 
+void
+encodeLayout(Writer &w, const Layout &layout)
+{
+    w.u32(static_cast<uint32_t>(layout.partitionCount()));
+    for (const auto &part : layout.partitions()) {
+        w.u32(static_cast<uint32_t>(part.size()));
+        for (AttrId a : part)
+            w.u32(a);
+    }
+}
+
+std::string
+decodeLayout(Reader &r, size_t catalog_size, Layout &out)
+{
+    // A partition takes at least its 4-byte size.
+    uint32_t nparts = r.u32();
+    if (!r.ok() || nparts > r.remaining() / 4)
+        return "truncated layout";
+    std::vector<std::vector<AttrId>> parts(nparts);
+    std::vector<bool> seen(catalog_size, false);
+    for (auto &attrs : parts) {
+        uint32_t k = r.u32();
+        if (!r.ok() || k > r.remaining() / 4)
+            return "truncated layout";
+        if (k == 0)
+            return "corrupt layout: empty partition";
+        attrs.resize(k);
+        for (AttrId &a : attrs) {
+            a = r.u32();
+            if (a >= catalog_size || seen[a])
+                return "corrupt layout: bad attribute";
+            seen[a] = true;
+        }
+    }
+    out = Layout(std::move(parts));
+    return "";
+}
+
 } // namespace dvp::layout

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "storage/catalog.hh"
+#include "util/codec.hh"
 
 namespace dvp::layout
 {
@@ -99,6 +100,23 @@ class Layout
     std::vector<PartIdx> attrToPart; ///< dense AttrId -> partition
     size_t nattrs = 0;
 };
+
+/**
+ * The one layout codec, shared by the checkpoint image and the WAL's
+ * Swap record: u32 nparts | nparts x { u32 k, k x u32 attr }.
+ */
+void encodeLayout(Writer &w, const Layout &layout);
+
+/**
+ * Decode a layout written by encodeLayout over a catalog of
+ * @p catalog_size attributes.  An empty partition, an attribute past
+ * the catalog and an attribute named twice are refused before a
+ * Layout is built (its constructor aborts on them), and no count read
+ * from @p r sizes anything before the bytes left can hold it.
+ * @return error message or empty; a short read also leaves @p r
+ * latched !ok().
+ */
+std::string decodeLayout(Reader &r, size_t catalog_size, Layout &out);
 
 } // namespace dvp::layout
 

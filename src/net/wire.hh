@@ -16,8 +16,9 @@
  * The magic + version reject cross-protocol garbage up front, the
  * length is sanity-capped at kMaxPayload, and the CRC covers the whole
  * payload, so a corrupted or truncated stream can never be delivered
- * as a valid frame.  Payload contents are encoded with Writer/Reader:
- * fixed-width little-endian integers and u32-length-prefixed strings.
+ * as a valid frame.  Payload contents are encoded with the shared byte
+ * codec (util/codec.hh): fixed-width little-endian integers and
+ * u32-length-prefixed strings.
  *
  * The conversation is strictly request/response on the client side:
  * HELLO -> HELLO_OK, then any number of QUERY -> RESULT|ERROR or
@@ -43,6 +44,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/codec.hh"
 
 namespace dvp::net
 {
@@ -100,162 +103,6 @@ enum class ErrorCode : uint16_t
      * down, or failed or closed before a whole response arrived.
      */
     ConnectionLost = 0x100,
-};
-
-/**
- * CRC-32 (IEEE 802.3 polynomial, reflected) of @p n bytes, computed
- * slicing-by-8: eight table lookups fold eight input bytes per step.
- * Frames, WAL records, snapshots and the manifest all share it.
- */
-uint32_t crc32(const void *data, size_t n);
-
-/** Append-only payload encoder (little-endian). */
-class Writer
-{
-  public:
-    void
-    u8(uint8_t v)
-    {
-        buf.push_back(static_cast<char>(v));
-    }
-
-    void u16(uint16_t v) { raw(&v, 2); }
-    void u32(uint32_t v) { raw(&v, 4); }
-    void u64(uint64_t v) { raw(&v, 8); }
-    void i64(int64_t v) { raw(&v, 8); }
-
-    /** u32 byte length + raw bytes. */
-    void
-    str(std::string_view s)
-    {
-        u32(static_cast<uint32_t>(s.size()));
-        buf.append(s);
-    }
-
-    /** Raw bytes, no length prefix. */
-    void append(std::string_view s) { buf.append(s); }
-
-    void reserve(size_t n) { buf.reserve(n); }
-
-    const std::string &bytes() const { return buf; }
-    size_t size() const { return buf.size(); }
-
-    /** Move the encoded bytes out (the writer is left empty). */
-    std::string take() { return std::move(buf); }
-
-  private:
-    void
-    raw(const void *p, size_t n)
-    {
-        // Little-endian hosts only (matches the rest of the tree).
-        buf.append(static_cast<const char *>(p), n);
-    }
-
-    std::string buf;
-};
-
-/**
- * Bounds-checked payload decoder.  Every read returns a value (zero /
- * empty past the end) and latches ok() = false on the first overrun,
- * so decode routines can read a whole record and check once.
- */
-class Reader
-{
-  public:
-    Reader(const char *data, size_t n) : p(data), n(n) {}
-    explicit Reader(const std::string &s) : Reader(s.data(), s.size()) {}
-
-    uint8_t
-    u8()
-    {
-        uint8_t v = 0;
-        take(&v, 1);
-        return v;
-    }
-
-    uint16_t
-    u16()
-    {
-        uint16_t v = 0;
-        take(&v, 2);
-        return v;
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        take(&v, 4);
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t v = 0;
-        take(&v, 8);
-        return v;
-    }
-
-    int64_t
-    i64()
-    {
-        int64_t v = 0;
-        take(&v, 8);
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        uint32_t len = u32();
-        if (len > n - pos || !ok_) { // n - pos is valid: pos <= n
-            ok_ = false;
-            return {};
-        }
-        std::string s(p + pos, len);
-        pos += len;
-        return s;
-    }
-
-    /** True until a read ran past the end of the payload. */
-    bool ok() const { return ok_; }
-
-    /** True when the whole payload was consumed exactly. */
-    bool exhausted() const { return ok_ && pos == n; }
-
-    /** Unconsumed bytes (0 after an overrun) — TLV loop guard. */
-    size_t remaining() const { return ok_ ? n - pos : 0; }
-
-    /** Bytes consumed so far. */
-    size_t offset() const { return pos; }
-
-    /** Consume @p bytes unread (an overrun latches !ok()). */
-    void
-    skip(size_t bytes)
-    {
-        if (bytes > n - pos)
-            ok_ = false;
-        else
-            pos += bytes;
-    }
-
-  private:
-    void
-    take(void *out, size_t bytes)
-    {
-        if (bytes > n - pos) {
-            ok_ = false;
-            return;
-        }
-        std::memcpy(out, p + pos, bytes);
-        pos += bytes;
-    }
-
-    const char *p;
-    size_t n;
-    size_t pos = 0;
-    bool ok_ = true;
 };
 
 /** One decoded frame. */

@@ -26,8 +26,12 @@
  * does), epoch is the layout epoch at the cut, and walLsn is the last
  * WAL record folded into the image.
  *
- * Strings are u32 length + bytes.  The writer buffers the whole image
- * and writes once; the reader validates sizes and fails cleanly on
+ * Strings are u32 length + bytes.  The bytes go through the shared
+ * codec (util/codec.hh), the magic, version and CRC through the
+ * Envelope the manifest also uses (util/durable_file.hh), and the
+ * layout section through the layout codec the WAL's Swap record also
+ * uses (layout::encodeLayout).  The writer buffers the whole image and
+ * writes once; the reader validates sizes and fails cleanly on
  * truncated or corrupt input (never panics on bad files — user data).
  * save() replaces the target atomically (temp file + rename), so a
  * crash mid-save can no longer destroy the previous snapshot.

@@ -42,13 +42,12 @@ httpResponse(int code, const char *status, const std::string &type,
 /** Request bodies larger than this are protocol abuse; drop them. */
 constexpr size_t kMaxRequestBytes = 8192;
 
+/** poll() tick in ms, bounding shutdown latency. */
+constexpr int kTickMs = 50;
+
 } // namespace
 
-HttpServer::HttpServer(HttpConfig cfg) : cfg(std::move(cfg))
-{
-    if (this->cfg.tickMs <= 0)
-        this->cfg.tickMs = 50;
-}
+HttpServer::HttpServer(HttpConfig cfg) : cfg(std::move(cfg)) {}
 
 HttpServer::~HttpServer()
 {
@@ -122,7 +121,7 @@ HttpServer::eventLoop()
         for (auto &[fd, c] : conns)
             pfds.push_back({fd, POLLIN, 0});
 
-        int rc = ::poll(pfds.data(), pfds.size(), cfg.tickMs);
+        int rc = ::poll(pfds.data(), pfds.size(), kTickMs);
         if (rc < 0) {
             if (errno == EINTR)
                 continue;

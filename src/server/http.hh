@@ -32,9 +32,6 @@ struct HttpConfig
 {
     std::string host = "127.0.0.1";
     uint16_t port = 0; ///< 0 = ephemeral (read back via port())
-
-    /** poll() tick in ms, bounding shutdown latency. */
-    int tickMs = 50;
 };
 
 /** The scrape endpoint.  start() spawns one event-loop thread. */

@@ -27,6 +27,12 @@ namespace dvp::server
 namespace
 {
 
+/** Server name reported in HELLO_OK. */
+constexpr const char *kServerName = "dvpd";
+
+/** poll() tick in ms, which bounds timeout/drain detection latency. */
+constexpr int kTickMs = 50;
+
 int64_t
 nowMs()
 {
@@ -145,8 +151,6 @@ Server::Server(adaptive::AdaptiveEngine &engine, Config cfg)
         this->cfg.workers = 1;
     if (this->cfg.maxInflight == 0)
         this->cfg.maxInflight = 1;
-    if (this->cfg.tickMs <= 0)
-        this->cfg.tickMs = 50;
 }
 
 Server::~Server()
@@ -191,7 +195,7 @@ Server::start()
         worker_threads.emplace_back([this] { workerLoop(); });
 
     inform("%s: listening on %s:%u (%zu workers, max-inflight %zu)",
-           cfg.name.c_str(), cfg.host.c_str(), unsigned(port_),
+           kServerName, cfg.host.c_str(), unsigned(port_),
            cfg.workers, cfg.maxInflight);
     return "";
 }
@@ -297,7 +301,7 @@ Server::eventLoop()
         for (auto &[fd, s] : sessions)
             pfds.push_back({fd, POLLIN, 0});
 
-        int rc = ::poll(pfds.data(), pfds.size(), cfg.tickMs);
+        int rc = ::poll(pfds.data(), pfds.size(), kTickMs);
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
@@ -449,7 +453,7 @@ Server::handleFrame(const std::shared_ptr<Session> &s,
         }
         s->helloDone = true;
         net::HelloOkBody ok;
-        ok.serverName = cfg.name;
+        ok.serverName = kServerName;
         ok.sessionId = s->id;
         s->writeFrame(net::FrameType::HelloOk, encodeHelloOk(ok));
         return;

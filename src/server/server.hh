@@ -73,9 +73,6 @@ struct Config
     /** Close sessions idle longer than this; 0 disables. */
     int idleTimeoutMs = 0;
 
-    /** poll() tick, which bounds timeout/drain detection latency. */
-    int tickMs = 50;
-
     /**
      * Serve LOAD DATA from server-local JSON-lines paths.  Off by
      * default: a remote client naming server filesystem paths is a
@@ -90,9 +87,6 @@ struct Config
      * error and the engine is never touched.
      */
     bool allowInsert = false;
-
-    /** Server name reported in HELLO_OK. */
-    std::string name = "dvpd";
 
     /**
      * Slow-query log: a statement slower than slowMs appends one

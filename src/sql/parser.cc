@@ -457,7 +457,6 @@ class Parser
                 return fail("GROUP BY requires COUNT(*)");
         }
 
-        q.selectivity = estimateSelectivity(data, q);
         r.ok = true;
         r.kind = StatementKind::Query;
         r.query = std::move(q);

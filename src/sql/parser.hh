@@ -72,8 +72,9 @@ struct ParseResult
 
 /**
  * Parse one statement against @p data (catalog for column resolution,
- * dictionary for string literals).  The returned query's selectivity
- * is estimated by estimateSelectivity().
+ * dictionary for string literals).  The returned query keeps the
+ * default selectivity of 1: parsing reads no documents (EXPLAIN prints
+ * an estimateSelectivity() sample, and execution measures the rest).
  */
 ParseResult parse(const std::string &text, const engine::DataSet &data);
 

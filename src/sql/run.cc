@@ -16,6 +16,16 @@ namespace dvp::sql
 namespace
 {
 
+/** EXPLAIN's first line: a selectivity estimate sampled from @p db. */
+std::string
+estimateLine(const engine::Database &db, const engine::Query &q)
+{
+    char line[64];
+    std::snprintf(line, sizeof(line), "est. selectivity %.4f\n",
+                  estimateSelectivity(db.data(), q));
+    return line;
+}
+
 /**
  * LOAD DATA: read @p path, tape-parse it on the engine's lanes, and
  * append the whole file with one ingest call — or nothing, when any
@@ -90,8 +100,8 @@ runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
              bool allowLoad, bool allowInsert)
 {
     RunResult res;
-    // Parsing resolves names against the live catalog and dictionary
-    // and samples docs, all of which a concurrent INSERT grows.
+    // Parsing resolves names against the live catalog and dictionary,
+    // both of which a concurrent INSERT grows.
     ParseResult parsed = eng.read([&](const engine::Database &db) {
         return parse(text, db.data());
     });
@@ -180,9 +190,6 @@ runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
       }
 
       case StatementKind::Explain: {
-        char head[64];
-        std::snprintf(head, sizeof(head), "est. selectivity %.4f\n",
-                      parsed.query.selectivity);
         res.ok = true;
         res.kind = RunResult::Kind::Message;
         res.query = parsed.query;
@@ -197,19 +204,16 @@ runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
             res.hasStats = true;
             // Render against the live database under the engine's read
             // lock; the header names the epoch that actually ran.
-            res.message =
-                std::string(head) +
-                eng.read([&](const engine::Database &db) {
-                    return explainAnalyze(db, parsed.query, res.stats,
-                                          rows);
-                });
+            res.message = eng.read([&](const engine::Database &db) {
+                return estimateLine(db, parsed.query) +
+                       explainAnalyze(db, parsed.query, res.stats, rows);
+            });
             return res;
         }
-        res.message = std::string(head) +
-                      eng.read([&](const engine::Database &db) {
-                          return explain(db, parsed.query,
-                                         &eng.planCache());
-                      });
+        res.message = eng.read([&](const engine::Database &db) {
+            return estimateLine(db, parsed.query) +
+                   explain(db, parsed.query, &eng.planCache());
+        });
         return res;
       }
 

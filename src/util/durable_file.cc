@@ -147,4 +147,43 @@ newerFormatError(const char *kind, int found, int reads)
            ", this binary reads ≤ v" + std::to_string(reads);
 }
 
+std::string
+Envelope::magic() const
+{
+    std::string m = prefix;
+    m += static_cast<char>('0' + version);
+    m.resize(8, '\0');
+    return m;
+}
+
+void
+Envelope::begin(Writer &w) const
+{
+    w.append(magic());
+}
+
+void
+Envelope::seal(Writer &w)
+{
+    w.u32(crc32(w.bytes().data(), w.size()));
+}
+
+std::string
+Envelope::open(const std::string &bytes, Reader &body) const
+{
+    int found = formatVersion(bytes, prefix);
+    if (found > version)
+        return newerFormatError(kind, found, version);
+    if (bytes.compare(0, 8, magic()) != 0)
+        return badMagic;
+    if (bytes.size() < 12)
+        return truncated;
+    uint32_t stored = 0;
+    std::memcpy(&stored, bytes.data() + bytes.size() - 4, 4);
+    if (crc32(bytes.data(), bytes.size() - 4) != stored)
+        return badCrc;
+    body = Reader(bytes.data() + 8, bytes.size() - 12);
+    return "";
+}
+
 } // namespace dvp

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/codec.hh"
+
 namespace dvp
 {
 
@@ -62,6 +64,40 @@ int formatVersion(const std::string &bytes, const char *prefix);
  * this binary reads ≤ vM" — named, so it does not read as corruption.
  */
 std::string newerFormatError(const char *kind, int found, int reads);
+
+/**
+ * The envelope the checkpoint image and the manifest share: an 8-byte
+ * magic (prefix, version digit, NUL padding), the body, and a
+ * trailing u32 CRC-32 of every byte before it.  Each format keeps its
+ * own refusal texts.
+ */
+struct Envelope
+{
+    const char *kind;   ///< names a newer format (newerFormatError)
+    const char *prefix; ///< the magic up to its version digit
+    int version;        ///< the one version written
+    const char *badMagic;
+    const char *truncated;
+    const char *badCrc;
+
+    /** Start an image in @p w: write the magic. */
+    void begin(Writer &w) const;
+
+    /** Finish an image: append the CRC-32 of everything in @p w. */
+    static void seal(Writer &w);
+
+    /**
+     * Check @p bytes: a newer version is named, then the magic, the
+     * length and the CRC are checked.  @return error message or
+     * empty; on success @p body reads the bytes between the magic and
+     * the CRC.
+     */
+    std::string open(const std::string &bytes, Reader &body) const;
+
+  private:
+    /** The 8 magic bytes: prefix, version digit, NUL padding. */
+    std::string magic() const;
+};
 
 } // namespace dvp
 

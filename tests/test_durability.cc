@@ -29,6 +29,7 @@
 #include "obs/metrics.hh"
 #include "persist/snapshot.hh"
 #include "sql/run.hh"
+#include "util/codec.hh"
 #include "util/durable_file.hh"
 #include "util/fault.hh"
 #include "util/random.hh"
@@ -301,6 +302,39 @@ TEST(Wal, NewerSegmentVersionIsNamedNotCorrupt)
               "bad segment header in '" + path + "'");
 }
 
+TEST(Wal, SegmentFormatPinnedByteForByte)
+{
+    // A segment holding one fixed Ingest record and one Swap record,
+    // written through the Manager's own encoders, is pinned to the
+    // byte.  The size and CRC-32 were taken from the encoders the
+    // shared codec replaced, so a change means the WAL format moved.
+    TempDir dir;
+    Config dcfg;
+    dcfg.dir = dir.path;
+    dcfg.fsyncPolicy = FsyncPolicy::None;
+    Manager mgr(dcfg);
+    engine::DataSet data;
+    RecoveryInfo info;
+    ASSERT_EQ(mgr.open(data, info), "");
+
+    std::vector<std::vector<json::FlatAttr>> docs{
+        {{"a", json::JsonValue(int64_t{-7})},
+         {"b", json::JsonValue(true)},
+         {"c", json::JsonValue(2.5)}},
+        {{"a", json::JsonValue()},
+         {"b", json::JsonValue(false)},
+         {"s", json::JsonValue(std::string("pinned"))}},
+    };
+    ASSERT_EQ(mgr.logIngest(Manager::encodeIngestBody(docs)), 1u);
+    ASSERT_EQ(mgr.logSwap(layout::Layout({{0, 2}, {1, 3}}), 4, 2), 2u);
+
+    std::string bytes;
+    ASSERT_EQ(readWholeFile(dir.path + "/" + segmentFileName(1), bytes),
+              "");
+    EXPECT_EQ(bytes.size(), 168u);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), 2713208759u);
+}
+
 // ---------------------------------------------------------------------
 // Manifest
 // ---------------------------------------------------------------------
@@ -331,6 +365,24 @@ TEST(Manifest, RoundTripAndCrcReject)
     }
     EXPECT_NE(decodeManifest(bytes.substr(0, bytes.size() - 1), back),
               "");
+}
+
+TEST(Manifest, FormatPinnedByteForByte)
+{
+    // Pinned like the WAL segment above: size and CRC-32 of a fixed
+    // manifest, taken from the encoder the shared codec replaced.
+    Manifest m;
+    m.seq = 5;
+    m.snapshotFile = "snapshot-00000000000000000042.snap";
+    m.snapshotLsn = 42;
+    m.epoch = 3;
+    m.segments = {"wal-00000000000000000043.seg",
+                  "wal-00000000000000000090.seg"};
+    std::string bytes = encodeManifest(m);
+    // The trailing CRC is left out: a CRC-32 over bytes that end in
+    // their own CRC is the same constant for every input.
+    EXPECT_EQ(bytes.size(), 142u);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size() - 4), 2700433032u);
 }
 
 TEST(Manifest, NewerVersionIsNamedNotCorrupt)
@@ -720,6 +772,59 @@ TEST(Manager, RestartAfterInPlaceGrowthRestoresEpochFingerprintDigests)
     EXPECT_EQ(elevenDigests(*r.engine, r.data, ncfg), before);
     EXPECT_EQ(tinyProject(*r.engine, r.data), tiny_before);
     fs::remove_all(dirpath);
+}
+
+// A Swap record's CRC says nothing about its layout, so replay checks
+// the layout the way the checkpoint image's is checked: one that
+// repeats an attribute or names one past the catalog replayed so far
+// is corrupt state, refused by name instead of aborted on or served.
+TEST(Manager, RecoveryRefusesAnInvalidSwapLayout)
+{
+    // One Ingest record of tinyDoc ("a", "s"): a catalog of 2.
+    constexpr uint32_t kCatalog = 2;
+    auto swapBody = [](std::vector<std::vector<uint32_t>> parts) {
+        Writer w;
+        w.u64(1); // epoch
+        w.u64(1); // baseDocs
+        w.u32(static_cast<uint32_t>(parts.size()));
+        for (const auto &part : parts) {
+            w.u32(static_cast<uint32_t>(part.size()));
+            for (uint32_t a : part)
+                w.u32(a);
+        }
+        return w.take();
+    };
+    auto openWithSwap = [](const std::string &body, RecoveryInfo &info) {
+        TempDir dir;
+        Config dcfg;
+        dcfg.dir = dir.path;
+        dcfg.fsyncPolicy = FsyncPolicy::None;
+        {
+            Manager mgr(dcfg);
+            engine::DataSet data;
+            RecoveryInfo fresh;
+            EXPECT_EQ(mgr.open(data, fresh), "");
+            EXPECT_EQ(mgr.logIngest(Manager::encodeIngestBody(
+                          {json::flatten(tinyDoc(1))})),
+                      1u);
+            EXPECT_EQ(mgr.wal()->append(RecordType::Swap, body), 2u);
+        }
+        Manager mgr(dcfg);
+        engine::DataSet data;
+        return mgr.open(data, info);
+    };
+
+    RecoveryInfo info;
+    EXPECT_EQ(openWithSwap(swapBody({{0, 1}, {1}}), info),
+              "corrupt Swap record at LSN 2");
+    EXPECT_EQ(openWithSwap(swapBody({{0}, {1, kCatalog + 3}}), info),
+              "corrupt Swap record at LSN 2");
+
+    ASSERT_EQ(openWithSwap(swapBody({{1}, {0}}), info), "");
+    ASSERT_TRUE(info.layout.has_value());
+    EXPECT_TRUE(info.layout->equivalentTo(layout::Layout({{0}, {1}})));
+    EXPECT_EQ(info.epoch, 1u);
+    EXPECT_EQ(info.baseDocs, 1u);
 }
 
 TEST(Manager, RecoverAfterLayoutSwapRestoresEpochAndLayout)

@@ -128,6 +128,64 @@ TEST(LayoutDeath, EmptyPartitionRejected)
 }
 
 // ---------------------------------------------------------------------
+// The layout codec shared by the checkpoint image and the Swap record.
+// ---------------------------------------------------------------------
+
+/** encodeLayout's bytes for explicit (possibly invalid) partitions. */
+std::string
+rawLayout(const std::vector<std::vector<uint32_t>> &parts)
+{
+    Writer w;
+    w.u32(static_cast<uint32_t>(parts.size()));
+    for (const auto &part : parts) {
+        w.u32(static_cast<uint32_t>(part.size()));
+        for (uint32_t a : part)
+            w.u32(a);
+    }
+    return w.take();
+}
+
+TEST(LayoutCodec, RoundTripsAndMatchesTheRawForm)
+{
+    Layout l({{3, 0}, {1}, {2, 4}});
+    Writer w;
+    encodeLayout(w, l);
+    EXPECT_EQ(w.bytes(), rawLayout({{3, 0}, {1}, {2, 4}}));
+
+    Reader r(w.bytes());
+    Layout back;
+    EXPECT_EQ(decodeLayout(r, 5, back), "");
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(back.partitions(), l.partitions());
+}
+
+TEST(LayoutCodec, RefusesWhatTheConstructorWouldAbortOn)
+{
+    auto decode = [](const std::string &bytes, size_t catalog) {
+        Reader r(bytes);
+        Layout out;
+        return decodeLayout(r, catalog, out);
+    };
+    EXPECT_EQ(decode(rawLayout({{0}, {}}), 2),
+              "corrupt layout: empty partition");
+    EXPECT_EQ(decode(rawLayout({{0, 1}, {1}}), 2),
+              "corrupt layout: bad attribute");
+    EXPECT_EQ(decode(rawLayout({{0}, {2}}), 2),
+              "corrupt layout: bad attribute");
+    EXPECT_EQ(decode(rawLayout({{0xFFFFFFFFu}}), 2),
+              "corrupt layout: bad attribute");
+
+    // Every truncation is refused, and a count the bytes left cannot
+    // hold is refused before it sizes anything.
+    std::string good = rawLayout({{0, 1}, {2}});
+    for (size_t len = 0; len < good.size(); ++len)
+        EXPECT_EQ(decode(good.substr(0, len), 3), "truncated layout")
+            << len;
+    EXPECT_EQ(decode(rawLayout({}).replace(0, 4, "\xff\xff\xff\xff"), 3),
+              "truncated layout");
+}
+
+// ---------------------------------------------------------------------
 // fingerprint(): the plan cache's order-insensitive layout hash.
 // ---------------------------------------------------------------------
 

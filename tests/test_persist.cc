@@ -10,15 +10,16 @@
 
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 
 #include "dvp/partitioner.hh"
-#include "net/wire.hh"
 #include "engine/database.hh"
 #include "engine/executor.hh"
 #include "nobench/generator.hh"
 #include "nobench/queries.hh"
 #include "nobench/workload.hh"
 #include "persist/snapshot.hh"
+#include "util/codec.hh"
 
 namespace dvp::persist
 {
@@ -164,6 +165,32 @@ TEST(Snapshot, NewerRevIsNamedNotCorrupt)
     EXPECT_EQ(r.error.find("format v"), std::string::npos) << r.error;
 }
 
+TEST(Snapshot, Rev1ImagesStillLoad)
+{
+    // A rev-1 image is rev 2 without the meta block and the trailing
+    // CRC, under the "DVPSNAP1" magic.  It loads with empty meta, and
+    // with no CRC to catch them, every truncation is still refused.
+    PersistWorld &w = world();
+    std::string v2 = serialize(w.data, &w.layout);
+    std::string v1 = v2.substr(0, v2.size() - 4).erase(12, 24);
+    v1[7] = '1';
+    LoadResult r = deserialize(v1);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_FALSE(r.meta.has_value());
+    ASSERT_EQ(r.data.docs.size(), w.data.docs.size());
+    for (size_t d = 0; d < w.data.docs.size(); ++d)
+        EXPECT_EQ(r.data.docs[d].attrs, w.data.docs[d].attrs);
+    ASSERT_TRUE(r.layout.has_value());
+    EXPECT_TRUE(r.layout->equivalentTo(w.layout));
+
+    for (size_t len = 0; len < v1.size();
+         len += std::max<size_t>(1, v1.size() / 97)) {
+        LoadResult t = deserialize(v1.substr(0, len));
+        EXPECT_FALSE(t.ok) << "accepted truncation at " << len;
+        EXPECT_FALSE(t.error.empty());
+    }
+}
+
 TEST(Snapshot, RejectsEveryTruncation)
 {
     // Property: truncating a valid image at any section boundary (and
@@ -208,11 +235,74 @@ TEST(Snapshot, RejectsCorruptAttributeReference)
     size_t attr_off =
         bytes.size() - 4 /*crc*/ - 4 /*flag*/ - 8 /*slot*/ - 4;
     bytes[attr_off] = 0x7f;
-    uint32_t crc = net::crc32(bytes.data(), bytes.size() - 4);
+    uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
     std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
     LoadResult r = deserialize(bytes);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("unknown attribute"), std::string::npos);
+}
+
+TEST(Snapshot, FormatPinnedByteForByte)
+{
+    // The image of a fixed input is pinned to the byte: a seeded
+    // 500-doc NoBench set with a fixed layout and meta.  The size and
+    // CRC-32 were taken from the encoder this codec replaced, so a
+    // change of either means the on-disk format moved.
+    nobench::Config cfg;
+    cfg.numDocs = 500;
+    cfg.seed = 2024;
+    engine::DataSet data = nobench::generateDataSet(cfg);
+    std::vector<storage::AttrId> attrs(data.catalog.attrCount());
+    std::iota(attrs.begin(), attrs.end(), 0);
+    layout::Layout l = layout::Layout::fixedSize(attrs, 5);
+    SnapshotMeta meta;
+    meta.epoch = 9;
+    meta.baseDocs = 480;
+    meta.walLsn = 1234;
+    std::string bytes = serialize(data, &l, &meta);
+    // A CRC over bytes that end in their own CRC-32 is a constant, so
+    // the pin covers everything before the trailing CRC.
+    EXPECT_EQ(bytes.size(), 208148u);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size() - 4), 3906394549u);
+}
+
+TEST(Snapshot, CountsAreCheckedBeforeTheySizeAnything)
+{
+    // A rev-1 image carries no CRC, so a count read from it is
+    // trusted only as far as the bytes left can hold it: a huge
+    // document or slot count is refused, not reserved.
+    engine::DataSet small;
+    small.catalog.ensure("a");
+    std::vector<json::FlatAttr> flat{{"a", json::JsonValue(1)}};
+    small.addFlat(flat);
+    std::string v2 = serialize(small);
+    std::string v1 = v2.substr(0, v2.size() - 4).erase(12, 24);
+    v1[7] = '1';
+    ASSERT_TRUE(deserialize(v1).ok);
+
+    // ... u64 ndocs | i64 oid | u32 nslots | u32 attr | i64 slot |
+    // u32 layout-flag, with no CRC after it.
+    const size_t nslots_off = v1.size() - 4 - 8 - 4 - 4;
+    const size_t ndocs_off = nslots_off - 8 - 8;
+    uint64_t ndocs = 0;
+    uint32_t nslots = 0;
+    std::memcpy(&ndocs, v1.data() + ndocs_off, 8);
+    std::memcpy(&nslots, v1.data() + nslots_off, 4);
+    ASSERT_EQ(ndocs, 1u);
+    ASSERT_EQ(nslots, 1u);
+    const uint64_t huge = uint64_t{1} << 60;
+    std::string bad = v1;
+    std::memcpy(bad.data() + ndocs_off, &huge, 8);
+    LoadResult r = deserialize(bad);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("truncated"), std::string::npos) << r.error;
+
+    bad = v1;
+    const uint32_t many = 0x7fffffff;
+    std::memcpy(bad.data() + nslots_off, &many, 4);
+    r = deserialize(bad);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("truncated"), std::string::npos) << r.error;
 }
 
 TEST(Snapshot, EmptyDataSetRoundTrips)

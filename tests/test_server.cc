@@ -51,6 +51,7 @@
 #include "server/http.hh"
 #include "server/server.hh"
 #include "sql/run.hh"
+#include "util/codec.hh"
 #include "util/fault.hh"
 
 namespace
@@ -150,8 +151,8 @@ using adaptive::Params;
 TEST(Wire, CrcMatchesKnownVector)
 {
     // IEEE CRC-32 of "123456789" is the classic check value.
-    EXPECT_EQ(net::crc32("123456789", 9), 0xCBF43926u);
-    EXPECT_EQ(net::crc32("", 0), 0u);
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
 }
 
 /** Bytewise CRC-32 (reflected 0xEDB88320): the reference crc32 meets. */
@@ -181,10 +182,10 @@ TEST(Wire, CrcMatchesBytewiseReference)
     }
     for (size_t off = 0; off < 8; ++off)
         for (size_t len = 0; len <= 1024; ++len)
-            ASSERT_EQ(net::crc32(buf.data() + off, len),
+            ASSERT_EQ(crc32(buf.data() + off, len),
                       bytewiseCrc32(buf.data() + off, len))
                 << "offset " << off << ", length " << len;
-    EXPECT_EQ(net::crc32(buf.data(), 1u << 20),
+    EXPECT_EQ(crc32(buf.data(), 1u << 20),
               bytewiseCrc32(buf.data(), 1u << 20));
 }
 
@@ -485,7 +486,7 @@ using OracleRows = std::vector<std::vector<OracleCell>>;
 std::string
 cellPathEncodeResult(const net::ResultBody &b, const OracleRows &rows)
 {
-    net::Writer w;
+    Writer w;
     w.u8(static_cast<uint8_t>(b.kind));
     w.str(b.message);
     w.u32(static_cast<uint32_t>(b.columns.size()));
@@ -509,13 +510,13 @@ cellPathEncodeResult(const net::ResultBody &b, const OracleRows &rows)
     w.u64(b.checksum);
     w.u64(b.execNs);
     if (b.hasTraceId) {
-        net::Writer v;
+        Writer v;
         v.u64(b.traceId);
         w.u8(net::kExtTraceId);
         w.str(v.bytes());
     }
     if (!b.opStats.empty()) {
-        net::Writer v;
+        Writer v;
         v.u32(static_cast<uint32_t>(b.opStats.size()));
         for (const auto &[key, value] : b.opStats) {
             v.str(key);
@@ -1838,7 +1839,6 @@ TEST_F(ServerWorld, IdleSessionsAreReaped)
     World w;
     server::Config scfg;
     scfg.idleTimeoutMs = 150;
-    scfg.tickMs = 20;
     server::Server srv(*w.engine, scfg);
     ASSERT_EQ(srv.start(), "");
 
