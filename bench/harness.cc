@@ -9,6 +9,7 @@
 #include <sys/resource.h>
 #include <thread>
 
+#include "json/writer.hh"
 #include "obs/export.hh"
 #include "util/logging.hh"
 
@@ -87,27 +88,6 @@ Options::parse(int argc, char **argv, uint64_t default_docs,
     return opt;
 }
 
-namespace
-{
-
-/** Minimal JSON string escape (names here are plain ASCII anyway). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20)
-            continue; // no control characters in our identifiers
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
-
 uint64_t
 peakRssBytes()
 {
@@ -152,8 +132,8 @@ JsonLog::record(const std::string &engine, const std::string &query,
                  "{\"bench\":\"%s\",\"engine\":\"%s\",\"query\":\"%s\","
                  "\"seconds\":%.9f,\"threads\":%zu,\"docs\":%llu,"
                  "\"seed\":%llu,\"rss_peak_bytes\":%llu}\n",
-                 jsonEscape(bench).c_str(), jsonEscape(engine).c_str(),
-                 jsonEscape(query).c_str(), seconds, threads,
+                 json::escape(bench).c_str(), json::escape(engine).c_str(),
+                 json::escape(query).c_str(), seconds, threads,
                  static_cast<unsigned long long>(docs),
                  static_cast<unsigned long long>(seed),
                  static_cast<unsigned long long>(peakRssBytes()));
@@ -172,9 +152,9 @@ JsonLog::value(const std::string &engine, const std::string &query,
                  "\"metric\":\"%s\",\"value\":%.9g,\"unit\":\"%s\","
                  "\"threads\":%zu,\"docs\":%llu,\"seed\":%llu,"
                  "\"rss_peak_bytes\":%llu}\n",
-                 jsonEscape(bench).c_str(), jsonEscape(engine).c_str(),
-                 jsonEscape(query).c_str(), jsonEscape(metric).c_str(),
-                 v, jsonEscape(unit).c_str(), default_threads,
+                 json::escape(bench).c_str(), json::escape(engine).c_str(),
+                 json::escape(query).c_str(), json::escape(metric).c_str(),
+                 v, json::escape(unit).c_str(), default_threads,
                  static_cast<unsigned long long>(docs),
                  static_cast<unsigned long long>(seed),
                  static_cast<unsigned long long>(peakRssBytes()));

@@ -16,7 +16,7 @@
  *     --port-file FILE      write the bound port to FILE (CI discovery)
  *     --workers N           executor worker threads (default 2)
  *     --max-inflight N      admission watermark     (default 64)
- *     --idle-timeout-ms N   reap idle sessions; 0 = never (default 0)
+ *     --idle-timeout-ms N   reap idle connections; 0 = never (default 0)
  *     --allow-load          permit LOAD DATA of server-local files
  *                           (parsed on --threads lanes; a file with a
  *                           bad line loads nothing)
@@ -65,7 +65,6 @@
 #include "engine/load.hh"
 #include "nobench/generator.hh"
 #include "obs/export.hh"
-#include "server/http.hh"
 #include "server/server.hh"
 #include "util/random.hh"
 #include "util/timer.hh"
@@ -107,8 +106,6 @@ main(int argc, char **argv)
     cfg.port = 7437;
     size_t exec_threads = 1;
     std::string port_file;
-    bool http_enabled = false;
-    server::HttpConfig http_cfg;
     std::string http_port_file;
     bool dump_audit = false;
     durability::Config dur_cfg;
@@ -149,11 +146,10 @@ main(int argc, char **argv)
         else if (a == "--threads")
             exec_threads =
                 std::strtoull(next("--threads"), nullptr, 10);
-        else if (a == "--http-port") {
-            http_enabled = true;
-            http_cfg.port = static_cast<uint16_t>(
+        else if (a == "--http-port")
+            cfg.httpPort = static_cast<uint16_t>(
                 std::strtoul(next("--http-port"), nullptr, 10));
-        } else if (a == "--http-port-file")
+        else if (a == "--http-port-file")
             http_port_file = next("--http-port-file");
         else if (a == "--slow-ms")
             cfg.slowMs = static_cast<uint32_t>(
@@ -320,20 +316,13 @@ main(int argc, char **argv)
         pf << server.port() << "\n";
     }
 
-    server::HttpServer http(http_cfg);
-    if (http_enabled) {
-        err = http.start();
-        if (!err.empty()) {
-            std::fprintf(stderr, "http start failed: %s\n",
-                         err.c_str());
-            return 1;
-        }
+    if (cfg.httpPort) {
         if (!http_port_file.empty()) {
             std::ofstream pf(http_port_file);
-            pf << http.port() << "\n";
+            pf << server.httpPort() << "\n";
         }
-        std::printf("dvpd: metrics on http://%s:%u/metrics\n",
-                    http_cfg.host.c_str(), unsigned(http.port()));
+        std::printf("dvpd: metrics on http://127.0.0.1:%u/metrics\n",
+                    unsigned(server.httpPort()));
     }
     std::printf("dvpd: serving %zu docs on %s:%u — SIGINT/SIGTERM to "
                 "drain\n",
@@ -345,8 +334,6 @@ main(int argc, char **argv)
     while (!server.drained())
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     server.stop();
-
-    http.stop();
 
     // Let an in-flight background checkpoint finish before the engine
     // (the cut provider's target) is torn down.

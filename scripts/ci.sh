@@ -287,12 +287,14 @@ echo "=== request-scoped observability ==="
 # dvpd with the HTTP scrape endpoint and slow-query log: /metrics and
 # /healthz must answer with valid Prometheus text, a traced join must
 # leave a parseable NDJSON slow-query record, EXPLAIN ANALYZE must
-# render over the wire, and a level-1 HELLO must be refused with a
-# typed PROTOCOL_ERROR.
+# render over the wire, a level-1 HELLO must be refused with a typed
+# PROTOCOL_ERROR, and a half-sent scrape must neither hold up a query
+# nor outlive the idle timeout.
 ./build-ci/examples/dvpd --gen 2000 --port 0 \
     --port-file "$OBS_TMP/dvpd2.port" \
     --http-port 0 --http-port-file "$OBS_TMP/http.port" \
     --slow-ms 1 --slow-query-log "$OBS_TMP/slow.ndjson" \
+    --idle-timeout-ms 2000 \
     > "$OBS_TMP/dvpd2.log" 2>&1 &
 DVPD_PID=$!
 for _ in $(seq 50); do
@@ -369,6 +371,24 @@ assert r["exec_ns"] > 0 and r["layout_epoch"] > 0, r
 assert r["stats"]["rows_out"] > 0, r
 print(f"request obs smoke: {len(names)} metric families, "
       f"{len(recs)} slow-query records ok")
+EOF
+# The wire protocol and the scrape endpoint share one event loop: a
+# scraper stuck half way through its request line must not hold up a
+# query, and the idle timeout must close it (EOF within 5 s).
+python3 - "$HTTP_PORT" "$DVPD_PORT" <<'EOF'
+import socket, subprocess, sys, time
+http_port, dvpd_port = int(sys.argv[1]), sys.argv[2]
+s = socket.create_connection(("127.0.0.1", http_port), timeout=5)
+s.sendall(b"GET /metr")
+t0 = time.monotonic()
+out = subprocess.run(
+    ["./build-ci/examples/dvp_client", "--port", dvpd_port,
+     "SELECT str1, num FROM t WHERE str1 = 'str1_17'"],
+    check=True, capture_output=True, text=True, timeout=5).stdout
+assert out.strip(), "no answer while a half-sent scrape was open"
+assert s.recv(1) == b"", "bytes sent to a half request"
+print(f"half-sent scrape closed after {time.monotonic() - t0:.1f} s")
+s.close()
 EOF
 kill -TERM "$DVPD_PID"
 wait "$DVPD_PID"

@@ -228,12 +228,6 @@ tapeSimdActive()
     return dispatch().simd;
 }
 
-const char *
-tapeActiveForm()
-{
-    return dispatch().simd ? "avx2" : "scalar";
-}
-
 void
 countParsedDocs(bool simd_index, bool dom, uint64_t docs, uint64_t bytes,
                 uint64_t fallbacks)

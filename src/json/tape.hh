@@ -69,9 +69,6 @@ bool tapeSimdAvailable();
 /** True when TapeForm::Auto dispatches to the AVX2 form. */
 bool tapeSimdActive();
 
-/** "avx2" or "scalar": what TapeForm::Auto resolves to. */
-const char *tapeActiveForm();
-
 /**
  * Reusable DOM-free flattener.  Not thread-safe; use one instance per
  * thread (the parallel loader keeps one per lane).  All scratch —

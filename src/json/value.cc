@@ -5,21 +5,6 @@
 namespace dvp::json
 {
 
-const char *
-typeName(Type t)
-{
-    switch (t) {
-      case Type::Null: return "null";
-      case Type::Bool: return "bool";
-      case Type::Int: return "int";
-      case Type::Double: return "double";
-      case Type::String: return "string";
-      case Type::Array: return "array";
-      case Type::Object: return "object";
-    }
-    return "?";
-}
-
 Type
 JsonValue::type() const
 {

@@ -31,9 +31,6 @@ using Elements = std::vector<JsonValue>;
 /** Discriminator for JsonValue::type(). */
 enum class Type { Null, Bool, Int, Double, String, Array, Object };
 
-/** Human-readable name of a Type ("null", "bool", ...). */
-const char *typeName(Type t);
-
 /**
  * A JSON value.  Copyable, movable; equality is deep structural equality
  * (with Int/Double distinct even when numerically equal, mirroring the
@@ -67,7 +64,6 @@ class JsonValue
     bool isString() const { return type() == Type::String; }
     bool isArray() const { return type() == Type::Array; }
     bool isObject() const { return type() == Type::Object; }
-    bool isNumber() const { return isInt() || isDouble(); }
 
     /** Typed accessors; panic on type mismatch (internal misuse). */
     bool asBool() const;

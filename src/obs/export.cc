@@ -8,6 +8,7 @@
 #include <map>
 #include <vector>
 
+#include "json/writer.hh"
 #include "util/logging.hh"
 
 namespace dvp::obs
@@ -56,22 +57,6 @@ appendf(std::string &out, const char *fmt, ...)
     std::vsnprintf(buf, sizeof(buf), fmt, ap);
     va_end(ap);
     out += buf;
-}
-
-/** Minimal JSON string escape (metric/span names are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20)
-            continue;
-        out.push_back(c);
-    }
-    return out;
 }
 
 bool
@@ -152,7 +137,8 @@ exportTraceNdjson(const Tracer &tracer)
                 "\"id\":%" PRIu64 ",\"parent\":%" PRIu64
                 ",\"thread\":%u,\"start_ns\":%" PRIu64
                 ",\"dur_ns\":%" PRIu64 "}\n",
-                jsonEscape(s.name).c_str(), jsonEscape(s.detail).c_str(),
+                json::escape(s.name).c_str(),
+                json::escape(s.detail).c_str(),
                 s.id, s.parent, s.thread, s.startNs, s.durationNs());
     }
     appendf(out,

@@ -145,14 +145,6 @@ class Span
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 
-    /** Replace the detail string (e.g. once a morsel count is known). */
-    void
-    setDetail(const char *detail)
-    {
-        if (id_ != 0)
-            std::strncpy(detail_, detail, sizeof(detail_) - 1);
-    }
-
     bool active() const { return id_ != 0; }
 
   private:

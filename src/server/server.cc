@@ -14,8 +14,9 @@
 #include <type_traits>
 #include <unistd.h>
 
-#include "json/parser.hh"
+#include "json/writer.hh"
 #include "net/socket.hh"
+#include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sql/run.hh"
@@ -56,6 +57,45 @@ setNonBlocking(int fd)
     int flags = ::fcntl(fd, F_GETFL, 0);
     if (flags >= 0)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+/** A scrape request past this without its blank line is abuse. */
+constexpr size_t kMaxHttpRequestBytes = 8192;
+
+std::string
+httpReply(int code, const char *status, const std::string &type,
+          const std::string &body)
+{
+    std::string head = "HTTP/1.1 " + std::to_string(code) + " " +
+                       status + "\r\n";
+    head += "Content-Type: " + type + "\r\n";
+    head += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+    head += "Connection: close\r\n\r\n";
+    return head + body;
+}
+
+/** The whole response to a request line "GET <path> HTTP/1.x". */
+std::string
+httpResponse(const std::string &request_line)
+{
+    size_t sp1 = request_line.find(' ');
+    size_t sp2 =
+        sp1 == std::string::npos ? sp1 : request_line.find(' ', sp1 + 1);
+    if (sp1 == std::string::npos || sp2 == std::string::npos)
+        return httpReply(400, "Bad Request", "text/plain",
+                         "bad request\n");
+    if (request_line.compare(0, sp1, "GET") != 0)
+        return httpReply(405, "Method Not Allowed", "text/plain",
+                         "only GET is supported\n");
+    std::string path = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
+    if (path == "/metrics")
+        return httpReply(200, "OK",
+                         "text/plain; version=0.0.4; charset=utf-8",
+                         obs::exportPrometheus(obs::Registry::global()));
+    if (path == "/healthz")
+        return httpReply(200, "OK", "text/plain", "ok\n");
+    return httpReply(404, "Not Found", "text/plain",
+                     "unknown path; try /metrics or /healthz\n");
 }
 
 /** The process-wide signal target (see installSignalHandlers). */
@@ -176,6 +216,15 @@ Server::start()
 
     std::string err;
     listen_fd = net::listenTcp(cfg.host, cfg.port, &port_, &err);
+    if (listen_fd >= 0 && cfg.httpPort) {
+        http_fd = net::listenTcp("127.0.0.1", *cfg.httpPort, &http_port_,
+                                 &err);
+        if (http_fd < 0) {
+            err = "http " + err;
+            net::closeFd(listen_fd);
+            listen_fd = -1;
+        }
+    }
     if (listen_fd < 0) {
         net::closeFd(wake_rd);
         net::closeFd(wake_wr);
@@ -183,6 +232,8 @@ Server::start()
         return err;
     }
     setNonBlocking(listen_fd);
+    if (http_fd >= 0)
+        setNonBlocking(http_fd);
 
     stop_requested_.store(false);
     draining_.store(false);
@@ -197,6 +248,9 @@ Server::start()
     inform("%s: listening on %s:%u (%zu workers, max-inflight %zu)",
            kServerName, cfg.host.c_str(), unsigned(port_),
            cfg.workers, cfg.maxInflight);
+    if (http_fd >= 0)
+        inform("http: serving /metrics and /healthz on 127.0.0.1:%u",
+               unsigned(http_port_));
     return "";
 }
 
@@ -239,6 +293,8 @@ Server::stop()
 
     net::closeFd(listen_fd);
     listen_fd = -1;
+    net::closeFd(http_fd);
+    http_fd = -1;
     net::closeFd(wake_rd);
     net::closeFd(wake_wr);
     wake_rd = wake_wr = -1;
@@ -281,6 +337,8 @@ Server::eventLoop()
             draining_.store(true, std::memory_order_release);
             net::closeFd(listen_fd);
             listen_fd = -1;
+            net::closeFd(http_fd);
+            http_fd = -1;
             debug("server: draining (%zu inflight)", inflight());
         }
         if (draining_.load(std::memory_order_relaxed)) {
@@ -296,10 +354,15 @@ Server::eventLoop()
 
         pfds.clear();
         pfds.push_back({wake_rd, POLLIN, 0});
-        if (listen_fd >= 0)
-            pfds.push_back({listen_fd, POLLIN, 0});
+        for (int fd : {listen_fd, http_fd})
+            if (fd >= 0)
+                pfds.push_back({fd, POLLIN, 0});
         for (auto &[fd, s] : sessions)
             pfds.push_back({fd, POLLIN, 0});
+        for (auto &[fd, c] : http_conns)
+            pfds.push_back(
+                {fd, static_cast<short>(c.out.empty() ? POLLIN : POLLOUT),
+                 0});
 
         int rc = ::poll(pfds.data(), pfds.size(), kTickMs);
         if (rc < 0) {
@@ -315,17 +378,22 @@ Server::eventLoop()
                 char buf[64];
                 while (::read(wake_rd, buf, sizeof(buf)) > 0) {
                 }
-            } else if (p.fd == listen_fd) {
-                acceptOne();
-            } else {
-                auto it = sessions.find(p.fd);
-                if (it == sessions.end())
-                    continue;
+            } else if (p.fd == listen_fd || p.fd == http_fd) {
+                acceptAll(p.fd);
+            } else if (auto it = sessions.find(p.fd);
+                       it != sessions.end()) {
                 std::shared_ptr<Session> s = it->second;
                 if (p.revents & (POLLERR | POLLNVAL))
                     closeSession(s);
                 else
                     serviceSession(s); // POLLHUP still drains the data
+            } else if (auto hc = http_conns.find(p.fd);
+                       hc != http_conns.end()) {
+                if ((p.revents & (POLLERR | POLLNVAL)) ||
+                    !serviceHttp(p.fd, hc->second)) {
+                    net::closeFd(p.fd);
+                    http_conns.erase(hc);
+                }
             }
         }
         if (cfg.idleTimeoutMs > 0)
@@ -340,22 +408,29 @@ Server::eventLoop()
         ::shutdown(fd, SHUT_RDWR);
     }
     sessions.clear();
+    for (auto &[fd, c] : http_conns)
+        net::closeFd(fd);
+    http_conns.clear();
     DVP_GAUGE_SET("dvp_server_sessions_active", 0);
     loop_done_.store(true, std::memory_order_release);
 }
 
 void
-Server::acceptOne()
+Server::acceptAll(int listener)
 {
     while (true) {
-        int fd = ::accept(listen_fd, nullptr, nullptr);
+        int fd = ::accept(listener, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;
             return; // EAGAIN: accepted everything pending
         }
-        DVP_TRACE_SPAN(accept_span, "accept", nullptr);
         setNonBlocking(fd);
+        if (listener == http_fd) {
+            http_conns[fd].lastActivityMs = nowMs();
+            continue;
+        }
+        DVP_TRACE_SPAN(accept_span, "accept", nullptr);
         auto s = std::make_shared<Session>();
         s->fd = fd;
         s->id = next_session_id++;
@@ -390,6 +465,54 @@ Server::reapIdle(int64_t now_ms)
               static_cast<unsigned long long>(s->id));
         closeSession(s);
     }
+    std::erase_if(http_conns, [&](const auto &entry) {
+        if (now_ms - entry.second.lastActivityMs <= cfg.idleTimeoutMs)
+            return false;
+        net::closeFd(entry.first);
+        return true;
+    });
+}
+
+bool
+Server::serviceHttp(int fd, HttpConn &c)
+{
+    if (c.out.empty()) {
+        char buf[4096];
+        bool eof = false;
+        while (true) {
+            long got = net::recvSome(fd, buf, sizeof(buf));
+            if (got > 0) {
+                c.lastActivityMs = nowMs();
+                c.in.append(buf, static_cast<size_t>(got));
+                if (c.in.size() > kMaxHttpRequestBytes)
+                    return false;
+                continue;
+            }
+            if (got < 0 && errno != EAGAIN && errno != EWOULDBLOCK)
+                return false;
+            eof = got == 0;
+            break;
+        }
+        // The headers end at the blank line; only the request line
+        // matters.  Until then keep buffering (bounded above).
+        if (c.in.find("\r\n\r\n") == std::string::npos)
+            return !eof;
+        c.out = httpResponse(c.in.substr(0, c.in.find("\r\n")));
+    }
+    // Write only what the socket takes now; POLLOUT resumes the rest.
+    // A blocking write here would let one scraper that stops reading
+    // stall every wire session behind it.
+    while (c.sent < c.out.size()) {
+        long n = ::send(fd, c.out.data() + c.sent, c.out.size() - c.sent,
+                        MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+        c.sent += static_cast<size_t>(n);
+        c.lastActivityMs = nowMs();
+    }
+    return false; // Connection: close
 }
 
 void
@@ -589,44 +712,11 @@ Server::buildStats()
     return body;
 }
 
-namespace
-{
-
-/** Minimal JSON string escape for statement text in NDJSON records. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char ch : s) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(ch)));
-                out += hex;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 void
 Server::logSlowQuery(const Task &task, const sql::RunResult &r,
                      uint64_t layoutEpoch)
 {
-    std::string line = "{\"statement\":\"" + jsonEscape(task.sql) +
+    std::string line = "{\"statement\":\"" + json::escape(task.sql) +
                        "\"";
     if (task.hasTraceId) {
         char id[32];

@@ -10,6 +10,11 @@
  *    and every session's read side.  It accepts connections, assembles
  *    frames, answers cheap frames (HELLO, STATS, CLOSE) inline, and
  *    admits QUERY frames into a bounded queue.
+ *  - With Config::httpPort set, the same loop also owns an HTTP
+ *    listener and its scrape connections (GET /metrics, GET /healthz,
+ *    DESIGN.md §15).  It renders each response inline and writes it
+ *    only as far as the socket takes it, finishing on POLLOUT, so a
+ *    scraper that stops reading never blocks a wire session.
  *  - A pool of worker threads pops admitted statements, executes them
  *    through AdaptiveEngine::execute (morsel-parallel, plan-cached,
  *    under the engine's shared lock — a background repartition swaps
@@ -31,9 +36,10 @@
  * its response, then shuts the loop and workers down.  stop() blocks
  * until the drain completes.
  *
- * Sessions are also reaped when idle longer than Config::idleTimeoutMs
- * (covers stalled half-written frames: any received byte counts as
- * activity).
+ * Sessions and scrape connections are also reaped when idle longer
+ * than Config::idleTimeoutMs (covers stalled half-written frames and
+ * requests: any byte received, or sent to a scraper, counts as
+ * activity).  The drain closes the HTTP listener with the wire one.
  */
 
 #ifndef DVP_SERVER_SERVER_HH
@@ -46,6 +52,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -95,6 +102,13 @@ struct Config
      */
     uint32_t slowMs = 0;
     std::string slowLogPath;
+
+    /**
+     * Serve GET /metrics and GET /healthz over HTTP/1.1 on 127.0.0.1 at
+     * this port (0 = ephemeral, read back via httpPort()).  Unset: no
+     * HTTP listener.
+     */
+    std::optional<uint16_t> httpPort;
 };
 
 /**
@@ -130,6 +144,9 @@ class Server
 
     /** Bound port (after start(); useful with Config::port = 0). */
     uint16_t port() const { return port_; }
+
+    /** Bound HTTP port after start(); 0 without Config::httpPort. */
+    uint16_t httpPort() const { return http_port_; }
 
     /** True between a successful start() and the end of stop(). */
     bool running() const
@@ -187,11 +204,22 @@ class Server
         uint64_t traceId = 0;
     };
 
+    /** A scrape connection: the request until its blank line, then
+     * the response until the socket has taken all of it. */
+    struct HttpConn
+    {
+        std::string in;
+        std::string out;
+        size_t sent = 0;
+        int64_t lastActivityMs = 0;
+    };
+
     void eventLoop();
     void workerLoop();
     void wake();
 
-    void acceptOne();
+    void acceptAll(int listener);
+    bool serviceHttp(int fd, HttpConn &c); ///< false = close it
     void serviceSession(const std::shared_ptr<Session> &s);
     void handleFrame(const std::shared_ptr<Session> &s,
                      const net::Frame &f);
@@ -208,6 +236,8 @@ class Server
 
     int listen_fd = -1;
     uint16_t port_ = 0;
+    int http_fd = -1;
+    uint16_t http_port_ = 0;
     int wake_rd = -1, wake_wr = -1;
 
     std::thread loop_thread;
@@ -216,6 +246,10 @@ class Server
     /** Sessions keyed by fd; touched only by the event loop. */
     std::unordered_map<int, std::shared_ptr<Session>> sessions;
     uint64_t next_session_id = 1;
+
+    /** Scrape connections keyed by fd; touched only by the event loop.
+     * They count as no session: no dvp_server_* metric sees them. */
+    std::unordered_map<int, HttpConn> http_conns;
 
     std::mutex queue_mu;
     std::condition_variable queue_cv;

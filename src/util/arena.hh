@@ -91,9 +91,6 @@ class Arena
      */
     AlignedBuffer reallocate(size_t bytes, size_t shift_bytes);
 
-    /** Shift (in cache lines) that the next allocation will receive. */
-    size_t nextShiftLines() const { return next_shift; }
-
     /** Total usable bytes handed out so far. */
     size_t allocatedBytes() const { return total; }
 

@@ -47,9 +47,6 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Pool threads (excluding callers). */
-    size_t workerCount() const { return workers_.size(); }
-
     /** Usable lanes per batch: every pool thread plus the caller. */
     size_t laneCount() const { return workers_.size() + 1; }
 

@@ -12,7 +12,8 @@
  * while an adaptive repartition swaps the layout underneath the open
  * connections — backpressure rejects are typed, graceful drain
  * delivers every admitted response, and the dvp_server_* metrics reach
- * the Prometheus exporter.
+ * the Prometheus exporter and the HTTP scrape endpoint the same event
+ * loop serves.
  */
 
 #include <gtest/gtest.h>
@@ -36,11 +37,14 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 
 #include "adaptive/adaptive_engine.hh"
 #include "client/client.hh"
 #include "durability/manager.hh"
+#include "json/parser.hh"
 #include "net/socket.hh"
 #include "net/wire.hh"
 #include "nobench/generator.hh"
@@ -48,7 +52,6 @@
 #include "nobench/workload.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
-#include "server/http.hh"
 #include "server/server.hh"
 #include "sql/run.hh"
 #include "util/codec.hh"
@@ -2172,18 +2175,15 @@ TEST_F(ServerWorld, StatsReconcileWithTheRegistry)
 namespace
 {
 
-/** Blocking one-shot HTTP GET; returns the raw response bytes. */
+/** Send @p request raw and return every byte until the server hangs up. */
 std::string
-httpGet(uint16_t port, const std::string &target)
+httpExchange(uint16_t port, const std::string &request)
 {
     std::string err;
     int fd = net::connectTcp("127.0.0.1", port, 2000, &err);
     if (fd < 0)
         return "connect failed: " + err;
-    std::string req = "GET " + target +
-                      " HTTP/1.1\r\nHost: localhost\r\n"
-                      "Connection: close\r\n\r\n";
-    net::sendAll(fd, req.data(), req.size());
+    net::sendAll(fd, request.data(), request.size());
     std::string resp;
     char buf[4096];
     long got;
@@ -2193,35 +2193,224 @@ httpGet(uint16_t port, const std::string &target)
     return resp;
 }
 
+/** Blocking one-shot HTTP GET; returns the raw response bytes. */
+std::string
+httpGet(uint16_t port, const std::string &target)
+{
+    return httpExchange(port, "GET " + target +
+                                  " HTTP/1.1\r\nHost: localhost\r\n"
+                                  "Connection: close\r\n\r\n");
+}
+
+/** True when the peer closes @p fd (EOF or reset) before its receive
+ * timeout; false on a timeout or on a byte arriving. */
+bool
+hungUp(int fd)
+{
+    char b = 0;
+    long got = net::recvSome(fd, &b, 1);
+    return got == 0 || (got < 0 && errno == ECONNRESET);
+}
+
+/** A server on an ephemeral wire port with the HTTP endpoint armed. */
+server::Config
+httpConfig(int idleTimeoutMs = 0)
+{
+    server::Config scfg;
+    scfg.httpPort = 0;
+    scfg.idleTimeoutMs = idleTimeoutMs;
+    return scfg;
+}
+
 } // namespace
 
-TEST(HttpEndpoint, MetricsAndHealthz)
+TEST_F(ServerWorld, HttpEndpointServesMetricsAndHealthz)
 {
-    server::HttpServer http((server::HttpConfig()));
-    ASSERT_EQ(http.start(), "");
-    ASSERT_GT(http.port(), 0);
+    World w;
+    EXPECT_EQ(server::Server(*w.engine).httpPort(), 0u); // off by default
+    server::Server srv(*w.engine, httpConfig());
+    ASSERT_EQ(srv.start(), "");
+    uint16_t port = srv.httpPort();
+    ASSERT_GT(port, 0);
+    ASSERT_NE(port, srv.port());
 
     // Seed at least one counter so the exposition is non-trivial.
     DVP_COUNTER_INC("dvp_http_test_counter_total");
 
-    std::string metrics = httpGet(http.port(), "/metrics");
-    EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
-    EXPECT_NE(metrics.find("text/plain; version=0.0.4"),
-              std::string::npos);
+    std::string metrics = httpGet(port, "/metrics");
+    EXPECT_EQ(metrics.rfind("HTTP/1.1 200 OK\r\n"
+                            "Content-Type: text/plain; version=0.0.4; "
+                            "charset=utf-8\r\n",
+                            0),
+              0u);
     EXPECT_NE(metrics.find("# TYPE dvp_http_test_counter_total "
                            "counter"),
               std::string::npos);
 
-    std::string health = httpGet(http.port(), "/healthz");
-    EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
-    EXPECT_NE(health.find("ok"), std::string::npos);
+    EXPECT_EQ(httpGet(port, "/healthz"),
+              "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+              "Content-Length: 3\r\nConnection: close\r\n\r\nok\n");
+    EXPECT_EQ(httpGet(port, "/nope"),
+              "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\n"
+              "Content-Length: 39\r\nConnection: close\r\n\r\n"
+              "unknown path; try /metrics or /healthz\n");
+    EXPECT_EQ(httpExchange(port, "POST /metrics HTTP/1.1\r\n\r\n"),
+              "HTTP/1.1 405 Method Not Allowed\r\n"
+              "Content-Type: text/plain\r\nContent-Length: 22\r\n"
+              "Connection: close\r\n\r\nonly GET is supported\n");
+    EXPECT_EQ(httpExchange(port, "garbage\r\n\r\n"),
+              "HTTP/1.1 400 Bad Request\r\nContent-Type: text/plain\r\n"
+              "Content-Length: 12\r\nConnection: close\r\n\r\n"
+              "bad request\n");
 
-    std::string missing = httpGet(http.port(), "/nope");
-    EXPECT_NE(missing.find("HTTP/1.1 404"), std::string::npos);
+    // The wire protocol answers on the same loop.
+    client::Client c;
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
+    client::Result r = c.query("SELECT str1, num FROM t");
+    EXPECT_TRUE(r.ok) << r.error;
+    c.close();
+    srv.stop();
+    EXPECT_FALSE(srv.running());
+}
 
-    EXPECT_GE(http.requestsServed(), 3u);
-    http.stop();
-    EXPECT_FALSE(http.running());
+TEST_F(ServerWorld, ScrapesMoveNoServerMetric)
+{
+    World w;
+    server::Server srv(*w.engine, httpConfig());
+    ASSERT_EQ(srv.start(), "");
+    obs::Registry &reg = obs::Registry::global();
+    uint64_t reqs0 = counterValue("dvp_server_requests_total");
+    uint64_t conns0 = counterValue("dvp_server_connections_total");
+    int64_t active0 = reg.gauge("dvp_server_sessions_active").value();
+
+    for (const char *target : {"/metrics", "/healthz", "/nope"})
+        EXPECT_EQ(httpGet(srv.httpPort(), target).rfind("HTTP/1.1 ", 0),
+                  0u);
+    EXPECT_EQ(counterValue("dvp_server_requests_total"), reqs0);
+    EXPECT_EQ(counterValue("dvp_server_connections_total"), conns0);
+    EXPECT_EQ(reg.gauge("dvp_server_sessions_active").value(), active0);
+    srv.stop();
+}
+
+TEST_F(ServerWorld, HalfSentScrapeRequestIsReapedWhenIdle)
+{
+    World w;
+    server::Server srv(*w.engine, httpConfig(100));
+    ASSERT_EQ(srv.start(), "");
+    std::string err;
+    int fd = net::connectTcp("127.0.0.1", srv.httpPort(), 3000, &err);
+    ASSERT_GE(fd, 0) << err;
+    std::string half = "GET /metr";
+    ASSERT_TRUE(net::sendAll(fd, half.data(), half.size()));
+    EXPECT_TRUE(hungUp(fd)) << "idle scrape connection left open";
+    net::closeFd(fd);
+    srv.stop();
+}
+
+TEST_F(ServerWorld, OversizedScrapeRequestIsClosed)
+{
+    World w;
+    server::Server srv(*w.engine, httpConfig());
+    ASSERT_EQ(srv.start(), "");
+    std::string err;
+    int fd = net::connectTcp("127.0.0.1", srv.httpPort(), 3000, &err);
+    ASSERT_GE(fd, 0) << err;
+    // 9000 bytes and never a blank line: past the 8 KiB bound.  The
+    // send may fail once the server has hung up; the hang-up is what
+    // counts.
+    std::string big = "GET /" + std::string(9000, 'x');
+    net::sendAll(fd, big.data(), big.size());
+    EXPECT_TRUE(hungUp(fd)) << "oversized request left open";
+    net::closeFd(fd);
+    srv.stop();
+}
+
+TEST_F(ServerWorld, DrainClosesTheHttpListener)
+{
+    World w;
+    server::Server srv(*w.engine, httpConfig());
+    ASSERT_EQ(srv.start(), "");
+    uint16_t port = srv.httpPort();
+    EXPECT_EQ(httpGet(port, "/healthz").rfind("HTTP/1.1 200 OK", 0), 0u);
+
+    srv.requestStop();
+    for (int i = 0; i < 400 && !srv.drained(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(srv.drained());
+    std::string err;
+    int fd = net::connectTcp("127.0.0.1", port, 1000, &err);
+    EXPECT_LT(fd, 0) << "HTTP port still accepts after requestStop()";
+    net::closeFd(fd);
+    srv.stop();
+}
+
+namespace
+{
+
+/** Linux's cap on an auto-tuned TCP send buffer (tcp_wmem's maximum),
+ * bounded at 16 MiB so the test's body stays small. */
+size_t
+tcpSendBufferCap()
+{
+    std::ifstream in("/proc/sys/net/ipv4/tcp_wmem");
+    size_t lo = 0, def = 0, max = 0;
+    if (!(in >> lo >> def >> max) || max == 0)
+        max = 4u << 20;
+    return std::min<size_t>(max, 16u << 20);
+}
+
+} // namespace
+
+TEST_F(ServerWorld, StalledScraperDoesNotStallWireSessions)
+{
+    World w;
+    server::Server srv(*w.engine, httpConfig());
+    ASSERT_EQ(srv.start(), "");
+
+    // Grow /metrics past what the server's send buffer and the
+    // scraper's receive buffer hold together.  Histograms stay off
+    // STATS, so the padding moves no STATS key; each one prints a line
+    // of about 200 bytes per occupied bucket.
+    const size_t want = 2 * tcpSendBufferCap() + (1u << 20);
+    const std::string pad(150, 'x');
+    for (size_t h = 0; h * 64 * 150 < want; ++h) {
+        obs::Histogram &hist = obs::Registry::global().histogram(
+            "dvp_test_scrape_pad_ns{pad=\"" + pad + "\",h=\"" +
+            std::to_string(h) + "\"}");
+        if (hist.count() == 0)
+            for (int b = 0; b < 64; ++b)
+                hist.observe(uint64_t{1} << b);
+    }
+    ASSERT_GT(obs::exportPrometheus(obs::Registry::global()).size(), want);
+
+    // A scraper with a tiny receive window that asks and never reads.
+    int scraper = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(scraper, 0);
+    int small = 4096;
+    ::setsockopt(scraper, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(srv.httpPort());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(scraper, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    std::string req = "GET /metrics HTTP/1.1\r\n\r\n";
+    ASSERT_TRUE(net::sendAll(scraper, req.data(), req.size()));
+    // Let the loop render the body and fill both buffers.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    auto t0 = std::chrono::steady_clock::now();
+    client::Client c;
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
+    client::Result r = c.query("SELECT str1, num FROM t");
+    auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_LT(waited, std::chrono::seconds(2))
+        << "a wire query waited on a scraper that does not read";
+    c.close();
+    net::closeFd(scraper);
+    srv.stop();
 }
 
 // ---------------------------------------------------------------------
@@ -2272,6 +2461,53 @@ TEST_F(ServerWorld, SlowQueryLogWritesNdjsonRecords)
     EXPECT_NE(line.find("\"layout_epoch\":"), std::string::npos);
     EXPECT_NE(line.find("\"stats\":{"), std::string::npos);
     EXPECT_NE(line.find("\"rows_out\":"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST_F(ServerWorld, SlowQueryLogKeepsQuotesBackslashesAndTabs)
+{
+    World w;
+    std::string path = "slow_query_escape_test.ndjson";
+    std::remove(path.c_str());
+
+    server::Config scfg;
+    scfg.slowMs = 1;
+    scfg.slowLogPath = path;
+    scfg.allowInsert = true;
+    server::Server srv(*w.engine, scfg);
+    ASSERT_EQ(srv.start(), "");
+    client::Client c;
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
+
+    // 2000 documents whose str1 holds a double quote and a backslash,
+    // so a SELECT * naming that value projects 2000 wide rows: heavy
+    // enough to cross 1 ms (INSERT itself reports no wall time).
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int i = 0; i < 2000; ++i)
+        insert += std::string(i ? ", " : "") +
+                  "('{\"str1\": \"q\\\"b\\\\s\"}')";
+    client::Result ins = c.query(insert);
+    ASSERT_TRUE(ins.ok) << ins.error;
+
+    const std::string select = "SELECT\t* FROM t WHERE str1 = 'q\"b\\s'";
+    std::string statement;
+    for (int attempt = 0; attempt < 20 && statement.empty(); ++attempt) {
+        client::Result r = c.query(select);
+        ASSERT_TRUE(r.ok) << r.error;
+        ASSERT_EQ(r.rows.size(), 2000u);
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line)) {
+            json::ParseResult rec = json::parse(line);
+            ASSERT_TRUE(rec.ok) << rec.error << ": " << line;
+            const json::JsonValue *s = rec.value.find("statement");
+            ASSERT_NE(s, nullptr) << line;
+            statement = s->asString();
+        }
+    }
+    c.close();
+    srv.stop();
+    EXPECT_EQ(statement, select);
     std::remove(path.c_str());
 }
 
